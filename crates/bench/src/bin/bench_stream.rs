@@ -42,24 +42,17 @@ use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use culinaria_bench::world_from_env;
+use culinaria_bench::{env_or, world_from_env};
 use culinaria_core::composition::category_counts;
 use culinaria_core::{
     recipe_pairing_score, FlavorViewRef, OverlapCache, RecipesViewRef, StreamState,
 };
 use culinaria_flavordb::IngredientId;
 use culinaria_obs::Metrics;
-use culinaria_recipedb::{RecipeStore, Region, Source};
+use culinaria_recipedb::{RecipeArtifactBuilder, RecipeStore, Region, Source};
 use culinaria_serve::protocol::{self, Client};
 use culinaria_serve::{ConnStats, ServeConfig, Server};
 use culinaria_stats::running::RunningStats;
-
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 fn env_list(name: &str, default: &str) -> Vec<usize> {
     let raw = std::env::var(name).unwrap_or_else(|_| default.to_owned());
@@ -512,7 +505,9 @@ fn main() {
             "segment rotation never kicked in ({n_segments} segment(s) at \
              {segment_bytes} bytes) — durability smoke needs a sealed segment"
         );
-        let live_bytes = culinaria_recipedb::io::to_snapshot(&live).expect("live snapshot");
+        let live_bytes = RecipeArtifactBuilder::new(&live)
+            .build()
+            .expect("live artifact");
         drop(log);
 
         let t = Instant::now();
@@ -530,7 +525,9 @@ fn main() {
             .expect("wal replay");
         let replay_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
-            culinaria_recipedb::io::to_snapshot(&replayed).expect("replay snapshot"),
+            RecipeArtifactBuilder::new(&replayed)
+                .build()
+                .expect("replay artifact"),
             live_bytes,
             "replayed store diverged from the live store ({policy})"
         );

@@ -40,8 +40,9 @@ use culinaria_core::MonteCarloConfig;
 use culinaria_datagen::{generate_world, World, WorldConfig};
 use culinaria_obs::Metrics;
 
-/// Read an environment variable, falling back to a default.
-fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
+/// Read an environment variable, falling back to `default` when it is
+/// unset or does not parse. The harnesses' knobs all go through here.
+pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())

@@ -834,7 +834,7 @@ mod tests {
         let frame = analyses_to_frame(&analyses);
         assert_eq!(frame.n_rows(), 22);
         for col in ["region", "n_recipes", "observed_ns", "z_random", "z_freq"] {
-            assert!(frame.has_column(col), "{col} missing");
+            assert!(frame.column(col).is_ok(), "{col} missing");
         }
     }
 

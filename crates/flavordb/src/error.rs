@@ -21,7 +21,7 @@ pub enum FlavorDbError {
     InvalidCompound(String),
     /// A synonym would shadow an existing canonical name.
     SynonymShadowsCanonical(String),
-    /// Snapshot decoding failed.
+    /// Decoding an artifact into an owned value failed.
     Snapshot(String),
 }
 

@@ -2,14 +2,13 @@
 
 //! CRDB2: the zero-copy recipe-store artifact.
 //!
-//! The CRDB1 snapshot ([`crate::io`]) replays every recipe through
-//! [`RecipeStore::add_recipe`] on load — allocating a name `String`
-//! and an ingredient `Vec` per recipe and rebuilding the per-region
-//! partitions and inverted index from scratch. CRDB2 stores the same
-//! content in the shapes the analysis reads: recipe records over one
-//! interned string blob, a flat sorted ingredient-id column, and
-//! *region-sharded recipe columns* so "give me the cuisine of Italy"
-//! is a validated slice borrow instead of a filter pass.
+//! An owned [`RecipeStore`] allocates a name `String` and an
+//! ingredient `Vec` per recipe and keeps per-region partitions and an
+//! inverted index beside them. CRDB2, the on-disk dataset format,
+//! stores the same content in the shapes the analysis reads: recipe
+//! records over one interned string blob, a flat sorted ingredient-id
+//! column, and *region-sharded recipe columns* so "give me the cuisine
+//! of Italy" is a validated slice borrow instead of a filter pass.
 //!
 //! The physical grammar (header, canonical section table, alignment,
 //! endianness) is shared with CFDB2 via
@@ -444,7 +443,8 @@ impl<'a> BorrowedRecipeDb<'a> {
     /// Rebuild an owned [`RecipeStore`] equal to the one the artifact
     /// was built from: replays recipes in id order through
     /// [`RecipeStore::add_recipe`], which reassigns identical dense
-    /// ids and rebuilds both indexes.
+    /// ids and rebuilds both indexes. This is the only path from bytes
+    /// on disk to an owned store.
     pub fn to_recipe_store(&self) -> Result<RecipeStore, RecipeDbError> {
         let mut store = RecipeStore::new();
         store.reserve(self.n_recipes);

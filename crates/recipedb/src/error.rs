@@ -16,7 +16,7 @@ pub enum RecipeDbError {
     /// An ingredient id referenced by a recipe is not live in the
     /// flavor database it was validated against.
     UnknownIngredient(u32),
-    /// Snapshot decoding failed.
+    /// Decoding an artifact into an owned value failed.
     Snapshot(String),
     /// Import-log (WAL) framing, decoding, or replay-consistency
     /// failure (see [`crate::wal`]).

@@ -18,7 +18,7 @@
 //! * [`import`] — the raw-text import pipeline: ingredient phrases →
 //!   alias resolution (`culinaria-text`) → ingredient ids
 //!   (`culinaria-flavordb`), with per-import curation statistics;
-//! * [`io`] — binary snapshots and CSV export;
+//! * [`io`] — CSV export;
 //! * [`wal`] — the append-only, checksummed import log with
 //!   deterministic replay (streaming ingestion);
 //! * [`segment`] — the durable on-disk form of the log: size-rotated

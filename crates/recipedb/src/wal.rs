@@ -32,10 +32,10 @@
 //! importer have drifted and replay reports it instead of silently
 //! diverging.
 //!
-//! Both payloads encode the raw recipe in the CRDB1 snapshot style
-//! ([`crate::io`]): `str` = u32 byte length + UTF-8, region and source
-//! as u8 indices, then u32 line count and one `str` per ingredient
-//! line. A tombstone payload appends one more `str`: the reason.
+//! Both payloads encode the raw recipe as a `str` name (`str` = u32
+//! byte length + UTF-8), region and source as u8 indices, then a u32
+//! line count and one `str` per ingredient line. A tombstone payload
+//! appends one more `str`: the reason.
 
 // User-reachable serialization/ingestion surface: panicking on bad
 // data is forbidden here — return errors instead.

@@ -169,20 +169,6 @@ impl Column {
         Ok(())
     }
 
-    /// A new column containing the cells at `indices`, in order.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds (indices are produced
-    /// internally by filter/sort/join, which guarantee validity).
-    pub fn take(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int(v) => Column::Int(indices.iter().map(|&i| v[i]).collect()),
-            Column::Float(v) => Column::Float(indices.iter().map(|&i| v[i]).collect()),
-            Column::Str(v) => Column::Str(indices.iter().map(|&i| v[i].clone()).collect()),
-            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
-        }
-    }
-
     /// Borrow as `&[Option<f64>]`, if this is a float column.
     pub fn as_float_slice(&self) -> Option<&[Option<f64>]> {
         match self {
@@ -262,15 +248,6 @@ mod tests {
         let mut c = Column::empty(ColumnType::Int);
         let err = c.push(Value::str("nope")).unwrap_err();
         assert!(matches!(err, TabularError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn take_reorders_and_repeats() {
-        let c = Column::from_strs(&["a", "b", "c"]);
-        let t = c.take(&[2, 0, 0]);
-        assert_eq!(t.get(0), Some(Value::str("c")));
-        assert_eq!(t.get(1), Some(Value::str("a")));
-        assert_eq!(t.get(2), Some(Value::str("a")));
     }
 
     #[test]

@@ -46,8 +46,6 @@ pub enum TabularError {
     },
     /// Underlying I/O failure (message-only so the error stays `Clone + Eq`).
     Io(String),
-    /// An aggregation was requested on an empty group or frame.
-    Empty(&'static str),
 }
 
 impl fmt::Display for TabularError {
@@ -75,7 +73,6 @@ impl fmt::Display for TabularError {
             }
             TabularError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
             TabularError::Io(msg) => write!(f, "io error: {msg}"),
-            TabularError::Empty(op) => write!(f, "operation '{op}' on empty input"),
         }
     }
 }
@@ -122,7 +119,6 @@ mod tests {
                 "line 4",
             ),
             (TabularError::Io("boom".into()), "boom"),
-            (TabularError::Empty("mean"), "mean"),
         ];
         for (err, needle) in cases {
             let msg = err.to_string();

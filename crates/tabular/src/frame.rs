@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use crate::column::{Column, ColumnType};
+use crate::column::Column;
 use crate::error::{Result, TabularError};
 use crate::value::Value;
 
@@ -17,26 +17,6 @@ pub struct Frame {
     columns: Vec<Column>,
     /// name → position in `columns`; kept in sync with `names`.
     index: HashMap<String, usize>,
-}
-
-/// A borrowed view of one row of a [`Frame`], used by filter predicates.
-#[derive(Debug, Clone, Copy)]
-pub struct RowView<'a> {
-    frame: &'a Frame,
-    row: usize,
-}
-
-impl<'a> RowView<'a> {
-    /// The cell under `column`, or `None` if the column does not exist.
-    pub fn get(&self, column: &str) -> Option<Value> {
-        let idx = *self.frame.index.get(column)?;
-        self.frame.columns[idx].get(self.row)
-    }
-
-    /// The 0-based row index within the frame.
-    pub fn row_index(&self) -> usize {
-        self.row
-    }
 }
 
 impl Frame {
@@ -69,11 +49,6 @@ impl Frame {
         &self.names
     }
 
-    /// True if a column with this name exists.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.index.contains_key(name)
-    }
-
     /// Append a column. The first column fixes the row count; subsequent
     /// columns must match it.
     pub fn add_column(&mut self, name: &str, column: Column) -> Result<()> {
@@ -101,11 +76,6 @@ impl Frame {
             .ok_or_else(|| TabularError::UnknownColumn(name.to_owned()))
     }
 
-    /// Borrow a column by position.
-    pub fn column_at(&self, idx: usize) -> Option<&Column> {
-        self.columns.get(idx)
-    }
-
     /// The cell at (`row`, `column`).
     pub fn get(&self, row: usize, column: &str) -> Result<Value> {
         let col = self.column(column)?;
@@ -113,193 +83,6 @@ impl Frame {
             row,
             n_rows: self.n_rows(),
         })
-    }
-
-    /// A [`RowView`] over row `row`.
-    pub fn row(&self, row: usize) -> Result<RowView<'_>> {
-        if row >= self.n_rows() {
-            return Err(TabularError::RowOutOfBounds {
-                row,
-                n_rows: self.n_rows(),
-            });
-        }
-        Ok(RowView { frame: self, row })
-    }
-
-    /// Iterate over all rows as [`RowView`]s.
-    pub fn rows(&self) -> impl Iterator<Item = RowView<'_>> {
-        (0..self.n_rows()).map(move |row| RowView { frame: self, row })
-    }
-
-    /// Append one row given as `(column, value)` pairs; every column must
-    /// be covered exactly once.
-    pub fn push_row(&mut self, cells: &[(&str, Value)]) -> Result<()> {
-        if cells.len() != self.n_cols() {
-            return Err(TabularError::LengthMismatch {
-                column: "<row>".to_owned(),
-                expected: self.n_cols(),
-                actual: cells.len(),
-            });
-        }
-        // Validate names first so a failed push leaves the frame unchanged.
-        let mut order = Vec::with_capacity(cells.len());
-        for (name, _) in cells {
-            let idx = *self
-                .index
-                .get(*name)
-                .ok_or_else(|| TabularError::UnknownColumn((*name).to_owned()))?;
-            if order.contains(&idx) {
-                return Err(TabularError::DuplicateColumn((*name).to_owned()));
-            }
-            order.push(idx);
-        }
-        // Validate types via a dry-run clone of the cheapest kind: check
-        // type compatibility before mutating.
-        for (pos, (name, value)) in cells.iter().enumerate() {
-            let col = &self.columns[order[pos]];
-            let compatible = matches!(
-                (col.column_type(), value),
-                (_, Value::Null)
-                    | (ColumnType::Int, Value::Int(_))
-                    | (ColumnType::Float, Value::Float(_))
-                    | (ColumnType::Float, Value::Int(_))
-                    | (ColumnType::Str, Value::Str(_))
-                    | (ColumnType::Bool, Value::Bool(_))
-            );
-            if !compatible {
-                return Err(TabularError::TypeMismatch {
-                    column: (*name).to_owned(),
-                    expected: col.column_type().name(),
-                    actual: "incompatible value",
-                });
-            }
-        }
-        for (pos, (_, value)) in cells.iter().enumerate() {
-            self.columns[order[pos]]
-                .push(value.clone())
-                .expect("types pre-validated");
-        }
-        Ok(())
-    }
-
-    /// A new frame containing only the rows for which `pred` returns true.
-    pub fn filter<F>(&self, mut pred: F) -> Result<Frame>
-    where
-        F: FnMut(RowView<'_>) -> bool,
-    {
-        let indices: Vec<usize> = (0..self.n_rows())
-            .filter(|&row| pred(RowView { frame: self, row }))
-            .collect();
-        Ok(self.take(&indices))
-    }
-
-    /// A new frame containing the rows at `indices`, in order. Indices may
-    /// repeat; all must be in bounds.
-    pub fn take(&self, indices: &[usize]) -> Frame {
-        let mut out = Frame::new();
-        for (name, col) in self.names.iter().zip(&self.columns) {
-            out.add_column(name, col.take(indices))
-                .expect("take preserves invariants");
-        }
-        out
-    }
-
-    /// A new frame with only the named columns, in the given order.
-    pub fn select(&self, columns: &[&str]) -> Result<Frame> {
-        let mut out = Frame::new();
-        for &name in columns {
-            out.add_column(name, self.column(name)?.clone())?;
-        }
-        Ok(out)
-    }
-
-    /// A new frame with `column` renamed to `new_name`.
-    pub fn rename(&self, column: &str, new_name: &str) -> Result<Frame> {
-        if !self.has_column(column) {
-            return Err(TabularError::UnknownColumn(column.to_owned()));
-        }
-        if self.has_column(new_name) && new_name != column {
-            return Err(TabularError::DuplicateColumn(new_name.to_owned()));
-        }
-        let mut out = Frame::new();
-        for (name, col) in self.names.iter().zip(&self.columns) {
-            let n = if name == column { new_name } else { name };
-            out.add_column(n, col.clone())?;
-        }
-        Ok(out)
-    }
-
-    /// Vertically concatenate `other` below `self`. Column names and types
-    /// must match exactly (order-sensitive).
-    pub fn vstack(&self, other: &Frame) -> Result<Frame> {
-        if self.names != other.names {
-            return Err(TabularError::UnknownColumn(format!(
-                "vstack schema mismatch: {:?} vs {:?}",
-                self.names, other.names
-            )));
-        }
-        let mut out = self.clone();
-        for (i, col) in other.columns.iter().enumerate() {
-            if out.columns[i].column_type() != col.column_type() {
-                return Err(TabularError::TypeMismatch {
-                    column: self.names[i].clone(),
-                    expected: out.columns[i].column_type().name(),
-                    actual: col.column_type().name(),
-                });
-            }
-            for v in col.iter_values() {
-                out.columns[i].push(v).expect("types checked");
-            }
-        }
-        Ok(out)
-    }
-
-    /// The first `n` rows (fewer if the frame is shorter).
-    pub fn head(&self, n: usize) -> Frame {
-        let k = n.min(self.n_rows());
-        let idx: Vec<usize> = (0..k).collect();
-        self.take(&idx)
-    }
-
-    /// Summary statistics of every numeric column: one row per column
-    /// with `count` (non-null numeric cells), `mean`, `min` and `max`.
-    /// Non-numeric columns are skipped; an all-text frame yields an
-    /// empty (zero-row) summary.
-    pub fn describe(&self) -> Frame {
-        let mut names = Vec::new();
-        let mut counts = Vec::new();
-        let mut means = Vec::new();
-        let mut mins = Vec::new();
-        let mut maxs = Vec::new();
-        for (name, col) in self.names.iter().zip(&self.columns) {
-            if !matches!(col.column_type(), ColumnType::Int | ColumnType::Float) {
-                continue;
-            }
-            let vals: Vec<f64> = col.iter_numeric().collect();
-            names.push(name.clone());
-            counts.push(vals.len() as i64);
-            if vals.is_empty() {
-                means.push(None);
-                mins.push(None);
-                maxs.push(None);
-            } else {
-                means.push(Some(vals.iter().sum::<f64>() / vals.len() as f64));
-                mins.push(Some(vals.iter().copied().fold(f64::INFINITY, f64::min)));
-                maxs.push(Some(vals.iter().copied().fold(f64::NEG_INFINITY, f64::max)));
-            }
-        }
-        let mut out = Frame::new();
-        out.add_column("column", Column::Str(names.into_iter().map(Some).collect()))
-            .expect("fresh frame");
-        out.add_column("count", Column::from_i64s(&counts))
-            .expect("fresh column");
-        out.add_column("mean", Column::Float(means))
-            .expect("fresh column");
-        out.add_column("min", Column::Float(mins))
-            .expect("fresh column");
-        out.add_column("max", Column::Float(maxs))
-            .expect("fresh column");
-        out
     }
 }
 
@@ -349,140 +132,9 @@ mod tests {
     }
 
     #[test]
-    fn filter_by_predicate() {
-        let f = sample();
-        let ita = f
-            .filter(|r| r.get("region") == Some(Value::str("ITA")))
-            .unwrap();
-        assert_eq!(ita.n_rows(), 2);
-        assert_eq!(ita.get(0, "recipes").unwrap(), Value::Int(7504));
-    }
-
-    #[test]
-    fn select_projects_and_orders() {
-        let f = sample();
-        let s = f.select(&["z", "region"]).unwrap();
-        assert_eq!(s.names(), &["z", "region"]);
-        assert!(f.select(&["missing"]).is_err());
-    }
-
-    #[test]
-    fn push_row_appends() {
-        let mut f = sample();
-        f.push_row(&[
-            ("region", Value::str("KOR")),
-            ("recipes", Value::Int(301)),
-            ("z", Value::Float(-2.0)),
-        ])
-        .unwrap();
-        assert_eq!(f.n_rows(), 5);
-        assert_eq!(f.get(4, "recipes").unwrap(), Value::Int(301));
-    }
-
-    #[test]
-    fn push_row_unknown_column_leaves_frame_unchanged() {
-        let mut f = sample();
-        let err = f
-            .push_row(&[
-                ("region", Value::str("KOR")),
-                ("recipes", Value::Int(301)),
-                ("nope", Value::Float(0.0)),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, TabularError::UnknownColumn(_)));
-        assert_eq!(f.n_rows(), 4);
-    }
-
-    #[test]
-    fn push_row_type_mismatch_leaves_frame_unchanged() {
-        let mut f = sample();
-        let err = f
-            .push_row(&[
-                ("region", Value::Int(1)),
-                ("recipes", Value::Int(301)),
-                ("z", Value::Float(0.0)),
-            ])
-            .unwrap_err();
-        assert!(matches!(err, TabularError::TypeMismatch { .. }));
-        assert_eq!(f.n_rows(), 4);
-    }
-
-    #[test]
-    fn vstack_concatenates() {
-        let f = sample();
-        let g = f.vstack(&f).unwrap();
-        assert_eq!(g.n_rows(), 8);
-        assert_eq!(g.get(4, "region").unwrap(), Value::str("ITA"));
-    }
-
-    #[test]
-    fn vstack_schema_mismatch() {
-        let f = sample();
-        let g = f.select(&["region"]).unwrap();
-        assert!(f.vstack(&g).is_err());
-    }
-
-    #[test]
-    fn rename_column() {
-        let f = sample();
-        let g = f.rename("z", "zscore").unwrap();
-        assert!(g.has_column("zscore"));
-        assert!(!g.has_column("z"));
-        assert!(f.rename("missing", "x").is_err());
-        assert!(f.rename("z", "region").is_err());
-    }
-
-    #[test]
-    fn head_truncates() {
-        let f = sample();
-        assert_eq!(f.head(2).n_rows(), 2);
-        assert_eq!(f.head(99).n_rows(), 4);
-    }
-
-    #[test]
-    fn rows_iterate_in_order() {
-        let f = sample();
-        let regions: Vec<String> = f
-            .rows()
-            .map(|r| r.get("region").unwrap().as_str().unwrap().to_owned())
-            .collect();
-        assert_eq!(regions, vec!["ITA", "JPN", "USA", "ITA"]);
-    }
-
-    #[test]
-    fn describe_summarizes_numeric_columns() {
-        let f = sample();
-        let d = f.describe();
-        // "region" is text → skipped; "recipes" and "z" summarized.
-        assert_eq!(d.n_rows(), 2);
-        assert_eq!(d.get(0, "column").unwrap(), Value::str("recipes"));
-        assert_eq!(d.get(0, "count").unwrap(), Value::Int(4));
-        assert_eq!(d.get(0, "min").unwrap(), Value::Float(580.0));
-        assert_eq!(d.get(0, "max").unwrap(), Value::Float(16118.0));
-        let mean = d.get(1, "mean").unwrap().as_float().unwrap();
-        assert!((mean - (30.0 - 4.0 + 25.0 + 30.0) / 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn describe_all_null_numeric_column() {
-        let f = Frame::from_columns(vec![("v", Column::Float(vec![None, None]))]).unwrap();
-        let d = f.describe();
-        assert_eq!(d.n_rows(), 1);
-        assert_eq!(d.get(0, "count").unwrap(), Value::Int(0));
-        assert!(d.get(0, "mean").unwrap().is_null());
-    }
-
-    #[test]
-    fn describe_text_only_frame_is_empty() {
-        let f = Frame::from_columns(vec![("s", Column::from_strs(&["a"]))]).unwrap();
-        assert_eq!(f.describe().n_rows(), 0);
-    }
-
-    #[test]
     fn empty_frame() {
         let f = Frame::new();
         assert_eq!(f.n_rows(), 0);
         assert_eq!(f.n_cols(), 0);
-        assert_eq!(f.filter(|_| true).unwrap().n_rows(), 0);
     }
 }

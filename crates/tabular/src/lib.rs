@@ -12,49 +12,38 @@
 //!   [`Column`]s;
 //! * each column is a typed vector (`i64`, `f64`, `String`, `bool`) with
 //!   per-cell nullability;
-//! * row-level access goes through [`Value`], a small dynamically-typed
+//! * cell-level access goes through [`Value`], a small dynamically-typed
 //!   cell;
-//! * transformations ([`Frame::filter`], [`Frame::sort_by`],
-//!   [`Frame::group_by`], [`Frame::inner_join`]) produce new frames and
-//!   never mutate their input;
-//! * frames round-trip through RFC-4180-style CSV ([`csv::read_csv`],
+//! * frames print as aligned text tables ([`Frame::to_table_string`])
+//!   and round-trip through RFC-4180-style CSV ([`csv::read_csv`],
 //!   [`csv::write_csv`]).
 //!
-//! The crate is intentionally small: it implements exactly the operations
-//! the paper's analyses need, with predictable O(n log n) or O(n) cost and
-//! no query planner.
+//! The crate is intentionally small: analyses build frames column by
+//! column and hand them to a printer or a CSV writer; there are no
+//! query operators.
 //!
 //! ## Example
 //!
 //! ```
-//! use culinaria_tabular::{Frame, Column, Value};
+//! use culinaria_tabular::{Column, Frame, Value};
 //!
 //! let mut f = Frame::new();
-//! f.add_column("region", Column::from_strs(&["ITA", "JPN", "ITA"])).unwrap();
-//! f.add_column("z", Column::from_f64s(&[31.0, -5.2, 14.9])).unwrap();
+//! f.add_column("region", Column::from_strs(&["ITA", "JPN"])).unwrap();
+//! f.add_column("z", Column::from_f64s(&[31.0, -5.2])).unwrap();
 //!
-//! let ita = f.filter(|row| row.get("region") == Some(Value::str("ITA"))).unwrap();
-//! assert_eq!(ita.n_rows(), 2);
-//!
-//! let by_region = f.group_by(&["region"]).unwrap().mean("z").unwrap();
-//! assert_eq!(by_region.n_rows(), 2);
+//! assert_eq!(f.get(1, "region").unwrap(), Value::str("JPN"));
+//! assert!(f.to_table_string(22).starts_with("region  z"));
+//! assert_eq!(f.to_csv(), "region,z\nITA,31\nJPN,-5.2\n");
 //! ```
 
 pub mod column;
 pub mod csv;
 pub mod display;
 pub mod error;
-pub mod expr;
 pub mod frame;
-pub mod groupby;
-pub mod join;
-pub mod sort;
 pub mod value;
 
 pub use column::{Column, ColumnType};
 pub use error::{Result, TabularError};
-pub use expr::Expr;
-pub use frame::{Frame, RowView};
-pub use groupby::{Aggregation, GroupBy};
-pub use sort::SortOrder;
+pub use frame::Frame;
 pub use value::Value;

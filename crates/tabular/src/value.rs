@@ -1,12 +1,10 @@
 //! Dynamically-typed cell values.
 //!
 //! [`Value`] is the row-level escape hatch of the column store: columns are
-//! stored as typed vectors, but predicates, joins and group-by keys need a
-//! uniform cell representation. `Value` is cheap to clone for everything
-//! except strings and implements a total ordering so it can serve as a sort
-//! and grouping key.
+//! stored as typed vectors, but cell access, CSV output and table
+//! rendering need a uniform cell representation. `Value` is cheap to
+//! clone for everything except strings.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 /// A single dynamically-typed cell.
@@ -67,66 +65,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Rank used to order values of different types: Null < Bool < Int ≈
-    /// Float < Str. Ints and floats share a rank and compare numerically.
-    fn type_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Bool(_) => 1,
-            Value::Int(_) | Value::Float(_) => 2,
-            Value::Str(_) => 3,
-        }
-    }
-
-    /// Total ordering across all values. Numeric values compare
-    /// numerically across `Int`/`Float`; NaN sorts after all other floats.
-    pub fn total_cmp(&self, other: &Value) -> Ordering {
-        let (ra, rb) = (self.type_rank(), other.type_rank());
-        if ra != rb {
-            return ra.cmp(&rb);
-        }
-        match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            (a, b) => {
-                // Mixed numeric comparison (Int vs Float or Float vs Float).
-                let fa = a.as_float().expect("rank-2 value is numeric");
-                let fb = b.as_float().expect("rank-2 value is numeric");
-                fa.total_cmp(&fb)
-            }
-        }
-    }
-
-    /// A hashable grouping key. Floats are keyed by their bit pattern, so
-    /// `-0.0` and `0.0` are distinct keys; analyses that group by floats
-    /// should round first.
-    pub fn group_key(&self) -> GroupKey {
-        match self {
-            Value::Null => GroupKey::Null,
-            Value::Bool(b) => GroupKey::Bool(*b),
-            Value::Int(v) => GroupKey::Int(*v),
-            Value::Float(v) => GroupKey::FloatBits(v.to_bits()),
-            Value::Str(s) => GroupKey::Str(s.clone()),
-        }
-    }
-}
-
-/// Hashable projection of a [`Value`], used as a group-by / join key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GroupKey {
-    /// Key for a missing value.
-    Null,
-    /// Key for a boolean.
-    Bool(bool),
-    /// Key for an integer.
-    Int(i64),
-    /// Key for a float, by IEEE-754 bit pattern.
-    FloatBits(u64),
-    /// Key for a string.
-    Str(String),
 }
 
 impl fmt::Display for Value {
@@ -196,42 +134,6 @@ mod tests {
     fn nan_becomes_null() {
         assert!(Value::from(f64::NAN).is_null());
         assert_eq!(Value::from(2.5), Value::Float(2.5));
-    }
-
-    #[test]
-    fn ordering_across_types_is_stable() {
-        let mut vals = [
-            Value::str("b"),
-            Value::Int(3),
-            Value::Null,
-            Value::Float(2.5),
-            Value::Bool(false),
-        ];
-        vals.sort_by(|a, b| a.total_cmp(b));
-        assert!(vals[0].is_null());
-        assert_eq!(vals[1], Value::Bool(false));
-        assert_eq!(vals[2], Value::Float(2.5));
-        assert_eq!(vals[3], Value::Int(3));
-        assert_eq!(vals[4], Value::str("b"));
-    }
-
-    #[test]
-    fn int_float_compare_numerically() {
-        assert_eq!(Value::Int(2).total_cmp(&Value::Float(2.0)), Ordering::Equal);
-        assert_eq!(Value::Int(2).total_cmp(&Value::Float(2.5)), Ordering::Less);
-        assert_eq!(
-            Value::Float(3.5).total_cmp(&Value::Int(3)),
-            Ordering::Greater
-        );
-    }
-
-    #[test]
-    fn group_keys_distinguish_values() {
-        assert_eq!(Value::Int(1).group_key(), Value::Int(1).group_key());
-        assert_ne!(Value::Int(1).group_key(), Value::Int(2).group_key());
-        assert_ne!(Value::Int(1).group_key(), Value::Float(1.0).group_key());
-        assert_eq!(Value::str("x").group_key(), Value::str("x").group_key());
-        assert_eq!(Value::Null.group_key(), Value::Null.group_key());
     }
 
     #[test]

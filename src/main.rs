@@ -3,22 +3,26 @@
 //!
 //! ```text
 //! culinaria generate [--scale S] [--seed N] [--out DIR]
-//! culinaria migrate-artifact [--in DIR] [--out DIR] [--no-overlaps]
+//! culinaria migrate-artifact [--in DIR] [--out DIR]
 //! culinaria analyze  [--scale S] [--seed N] [--mc N] [--metrics[=json]]
-//! culinaria report   <REGION> [--scale S] [--seed N] [--metrics[=json]]
+//! culinaria report   <REGION> [--scale S] [--seed N] [--mc N] [--metrics[=json]]
 //! culinaria import   <FILE> [--threads N] [--metrics[=json]]
-//! culinaria ingest   <FILE> (--log PATH | --wal DIR) [--threads N]
+//! culinaria ingest   <FILE> --wal DIR [--threads N]
 //!                    [--fsync always|batch|off] [--segment-bytes N]
-//! culinaria replay   (--log PATH | --wal DIR) [--prefix N] [--threads N] [--analyze]
-//! culinaria pairings <REGION> [--scale S] [--top K]
+//! culinaria replay   --wal DIR [--prefix N] [--threads N]
+//!                    [--analyze [--mc N] [--seed N] [--metrics[=json]]]
+//! culinaria pairings <REGION> [--scale S] [--seed N] [--top K]
+//! culinaria suggest  <REGION> [--scale S] [--seed N] [--size N] [--uniform|--contrast]
 //! culinaria serve    (--stdio | --socket PATH) [--data DIR] [--threads N]
 //!                    [--batch N] [--cache-entries N] [--max-queue N]
 //!                    [--mc N] [--seed N] [--once] [--metrics[=json]]
 //!                    [--read-timeout MS] [--write-timeout MS] [--idle-timeout MS]
-//!                    [--max-conns N] [--force-bind] [--wal DIR]
-//!                    [--fsync always|batch|off] [--segment-bytes N]
+//!                    [--max-conns N] [--force-bind]
 //! culinaria regions
 //! ```
+//!
+//! Every flag is checked: a flag the subcommand does not take, or a
+//! value that does not parse, exits 2 with a message naming the flag.
 //!
 //! `--metrics` renders the observability registry (spans, counters,
 //! histograms — see `culinaria-obs`) to stderr when the command
@@ -37,15 +41,56 @@ use culinaria::analysis::z_analysis::{
 use culinaria::analysis::{FlavorViewRef, RecipesViewRef};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::datagen::{generate_world, World, WorldConfig};
-use culinaria::flavordb::FlavorArtifactBuilder;
-use culinaria::flavordb::{AlignedBytes, FlavorDb};
+use culinaria::flavordb::{AlignedBytes, FlavorArtifactBuilder, FlavorDb};
 use culinaria::obs::Metrics;
 use culinaria::recipedb::import::{ImportStats, Importer, RawRecipe};
 use culinaria::recipedb::{
-    FsyncPolicy, IngestLog, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
+    FsyncPolicy, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
 };
 use culinaria::serve::protocol::{encode_conn_limit, write_frame};
 use culinaria::serve::{arm, install_signal_handlers, ServeConfig, Server};
+
+/// Every subcommand and the flags it takes (names without `--`). A
+/// flag missing from a command's list is refused with exit 2, so a
+/// typo or a retired flag never runs silently with defaults.
+const COMMANDS: &[(&str, &[&str])] = &[
+    ("regions", &[]),
+    ("generate", &["scale", "seed", "out"]),
+    ("migrate-artifact", &["in", "out"]),
+    ("analyze", &["scale", "seed", "mc", "metrics"]),
+    ("report", &["scale", "seed", "mc", "metrics"]),
+    ("import", &["threads", "metrics"]),
+    ("ingest", &["wal", "threads", "fsync", "segment-bytes"]),
+    (
+        "replay",
+        &[
+            "wal", "prefix", "threads", "analyze", "mc", "seed", "metrics",
+        ],
+    ),
+    ("pairings", &["scale", "seed", "top"]),
+    ("suggest", &["scale", "seed", "size", "uniform", "contrast"]),
+    (
+        "serve",
+        &[
+            "stdio",
+            "socket",
+            "data",
+            "threads",
+            "batch",
+            "cache-entries",
+            "max-queue",
+            "mc",
+            "seed",
+            "once",
+            "metrics",
+            "read-timeout",
+            "write-timeout",
+            "idle-timeout",
+            "max-conns",
+            "force-bind",
+        ],
+    ),
+];
 
 struct Args {
     flags: HashMap<String, String>,
@@ -88,39 +133,96 @@ fn parse_args(raw: &[String]) -> Args {
 }
 
 impl Args {
-    fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.flags
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// Like [`Args::flag`], but a present-yet-unparseable value is an
-    /// error instead of a silent fall-back to the default. Long-lived
-    /// commands (`serve`) use this so a typo'd `--cache-entries lots`
-    /// refuses to start rather than running with a surprise default.
-    fn flag_checked<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.get(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name}: cannot parse value {v:?}")),
+    /// Refuse any flag not in `allowed`. The first offender in name
+    /// order is reported, so the message does not depend on hash order.
+    fn only(&self, allowed: &[&str]) -> Result<(), String> {
+        let mut names: Vec<&String> = self.flags.keys().collect();
+        names.sort();
+        match names.into_iter().find(|n| !allowed.contains(&n.as_str())) {
+            None => Ok(()),
+            Some(name) if allowed.is_empty() => {
+                Err(format!("--{name}: unknown flag (this command takes none)"))
+            }
+            Some(name) => Err(format!(
+                "--{name}: unknown flag (this command takes --{})",
+                allowed.join(", --")
+            )),
         }
     }
 
-    /// The metrics sink selected by `--metrics` (text) or
-    /// `--metrics=json`; disabled (zero-cost no-op) when absent.
-    fn metrics(&self) -> MetricsSink {
+    /// The value of `--name`, or `None` when the flag is absent. A
+    /// present-yet-unparseable value is an error, never a silent
+    /// fall-back: `--mc lots` must not run with the default.
+    fn opt_flag<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, String> {
+        self.flags
+            .get(name)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("--{name}: cannot parse value {v:?}"))
+            })
+            .transpose()
+    }
+
+    /// [`Args::opt_flag`] with a default for the absent flag.
+    fn flag<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        Ok(self.opt_flag(name)?.unwrap_or(default))
+    }
+
+    /// A path-like flag: `None` when absent, an error when given
+    /// without a value.
+    fn path(&self, name: &str) -> Result<Option<String>, String> {
+        match self.flags.get(name) {
+            None => Ok(None),
+            Some(v) if v.is_empty() => Err(format!("--{name}: needs a value")),
+            Some(v) => Ok(Some(v.clone())),
+        }
+    }
+
+    /// A boolean switch: bare `--name` (or `--name true`) turns it on.
+    fn switch(&self, name: &str) -> Result<bool, String> {
+        match self.flags.get(name).map(String::as_str) {
+            None | Some("false") => Ok(false),
+            Some("" | "true") => Ok(true),
+            Some(v) => Err(format!(
+                "--{name}: takes no value (or true/false), got {v:?}"
+            )),
+        }
+    }
+
+    /// `Some(json)` when `--metrics` (text) or `--metrics=json` asked
+    /// for a telemetry dump; `None` when absent.
+    fn metrics_mode(&self) -> Result<Option<bool>, String> {
         match self.flags.get("metrics").map(String::as_str) {
+            None => Ok(None),
+            Some("") => Ok(Some(false)),
+            Some("json") => Ok(Some(true)),
+            Some(other) => Err(format!(
+                "--metrics: expected `--metrics` or `--metrics=json`, got {other:?}"
+            )),
+        }
+    }
+
+    /// The metrics sink selected by `--metrics[=json]`; disabled
+    /// (zero-cost no-op) when absent.
+    fn metrics(&self) -> Result<MetricsSink, String> {
+        Ok(match self.metrics_mode()? {
             None => MetricsSink {
                 metrics: Metrics::disabled(),
                 json: false,
             },
-            Some(mode) => MetricsSink {
+            Some(json) => MetricsSink {
                 metrics: Metrics::enabled(),
-                json: mode == "json",
+                json,
             },
-        }
+        })
+    }
+
+    /// The `<REGION>` positional of `report`, `suggest` and `pairings`.
+    fn region(&self) -> Result<Region, String> {
+        self.positional
+            .first()
+            .and_then(|s| s.parse::<Region>().ok())
+            .ok_or_else(|| "needs a region code (see `culinaria regions`)".to_owned())
     }
 }
 
@@ -145,15 +247,40 @@ impl MetricsSink {
     }
 }
 
-fn build_world(args: &Args) -> World {
+/// The `--scale`/`--seed` world of `generate`, `analyze`, `report`,
+/// `pairings` and `suggest`.
+fn world_config(args: &Args) -> Result<WorldConfig, String> {
     let mut cfg = WorldConfig::paper();
-    cfg.recipe_scale = args.flag("scale", 0.1);
-    cfg.seed = args.flag("seed", 2018u64);
+    cfg.recipe_scale = args.flag("scale", 0.1)?;
+    cfg.seed = args.flag("seed", 2018u64)?;
+    Ok(cfg)
+}
+
+fn build_world(cfg: &WorldConfig) -> World {
     eprintln!(
         "generating world (scale {}, seed {})…",
         cfg.recipe_scale, cfg.seed
     );
-    generate_world(&cfg)
+    generate_world(cfg)
+}
+
+/// The `--mc`/`--seed` Monte Carlo settings, with `n_recipes` as the
+/// command's default.
+fn mc_config(args: &Args, n_recipes: usize) -> Result<MonteCarloConfig, String> {
+    Ok(MonteCarloConfig {
+        n_recipes: args.flag("mc", n_recipes)?,
+        seed: args.flag("seed", 2018u64)?,
+        n_threads: 0,
+    })
+}
+
+/// Write `bytes` to `dir/name` and report it on stdout.
+fn write_file(dir: &str, name: &str, bytes: &[u8]) -> std::io::Result<()> {
+    let path = format!("{dir}/{name}");
+    let mut f = std::fs::File::create(&path)?;
+    f.write_all(bytes)?;
+    println!("wrote {path} ({} bytes)", bytes.len());
+    Ok(())
 }
 
 /// One malformed block found while parsing the `import` text format.
@@ -218,94 +345,20 @@ fn parse_raw_recipes(text: &str) -> (Vec<RawRecipe>, Vec<ParseIssue>) {
     (raws, issues)
 }
 
-/// `ingest --log`: the single-file image path. Replays prior history
-/// first so the grown log still replays ≡ one big batch, then appends
-/// and rewrites the file. `None` = failure (already reported).
-fn ingest_into_log(
-    log_path: &str,
-    db: &FlavorDb,
-    importer: &Importer,
-    raws: &[RawRecipe],
-    threads: usize,
-) -> Option<ImportStats> {
-    let mut log = match std::fs::read(log_path) {
-        Ok(bytes) => match IngestLog::from_bytes(&bytes) {
-            Ok(log) => log,
-            Err(e) => {
-                eprintln!("{log_path}: corrupt import log: {e}");
-                return None;
-            }
-        },
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => IngestLog::new(),
-        Err(e) => {
-            eprintln!("cannot read {log_path}: {e}");
-            return None;
-        }
-    };
-    let mut store = if log.is_empty() {
-        RecipeStore::new()
-    } else {
-        match log.replay(db, importer, threads) {
-            Ok((store, _)) => store,
-            Err(e) => {
-                eprintln!("{log_path}: cannot replay existing log: {e}");
-                return None;
-            }
-        }
-    };
-    let prior = log.records().len();
-    let stats = match log.append_batch(db, importer, &mut store, raws, threads) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("ingest failed: {e}");
-            return None;
-        }
-    };
-    if let Err(e) = std::fs::write(log_path, log.as_bytes()) {
-        eprintln!("cannot write {log_path}: {e}");
-        return None;
-    }
-    println!(
-        "ingested {}/{} recipes ({} tombstoned); \
-         log {log_path}: {} records (+{}), {} bytes; store: {} recipes",
-        stats.stored,
-        stats.offered,
-        stats.failures.len(),
-        log.records().len(),
-        log.records().len() - prior,
-        log.as_bytes().len(),
-        store.n_recipes()
-    );
-    Some(stats)
-}
-
-/// `ingest --wal`: the durable segmented path. Open recovers the
+/// `ingest --wal`: the durable segmented log. Open recovers the
 /// directory (torn tails truncated, orphans tolerated), prior records
 /// replay for history, the batch appends under the selected fsync
 /// policy, and the tail is made durable before returning. `None` =
 /// failure (already reported).
 fn ingest_into_wal(
-    args: &Args,
     dir: &str,
+    policy: FsyncPolicy,
+    segment_bytes: u64,
     db: &FlavorDb,
     importer: &Importer,
     raws: &[RawRecipe],
     threads: usize,
 ) -> Option<ImportStats> {
-    let policy = match args.flag_checked("fsync", FsyncPolicy::Batch) {
-        Ok(p) => p,
-        Err(msg) => {
-            eprintln!("{msg} (expected always|batch|off)");
-            return None;
-        }
-    };
-    let segment_bytes = match args.flag_checked("segment-bytes", 8u64 * 1024 * 1024) {
-        Ok(n) => n,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return None;
-        }
-    };
     let mut log = match SegmentedLog::open(dir, policy, segment_bytes) {
         Ok(log) => log,
         Err(e) => {
@@ -313,13 +366,7 @@ fn ingest_into_wal(
             return None;
         }
     };
-    let rec = log.recovery();
-    if rec.recovered() || rec.orphans > 0 {
-        eprintln!(
-            "{dir}: recovered — {} torn byte(s) truncated, {} orphan segment(s)",
-            rec.truncated_bytes, rec.orphans
-        );
-    }
+    report_recovery(dir, &log);
     let mut store = if log.is_empty() {
         RecipeStore::new()
     } else {
@@ -357,35 +404,79 @@ fn ingest_into_wal(
     Some(stats)
 }
 
+/// Tell the operator what opening the WAL repaired, if anything.
+fn report_recovery(dir: &str, log: &SegmentedLog) {
+    let rec = log.recovery();
+    if rec.recovered() || rec.orphans > 0 {
+        eprintln!(
+            "{dir}: recovered — {} torn byte(s) truncated, {} orphan segment(s)",
+            rec.truncated_bytes, rec.orphans
+        );
+    }
+}
+
+/// Read and parse a recipe text file, reporting malformed blocks on
+/// stderr. `None` = unreadable (already reported).
+fn read_raw_recipes(path: &str) -> Option<(Vec<RawRecipe>, Vec<ParseIssue>)> {
+    let text = match std::fs::read_to_string(path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot read {path}: {e}");
+            return None;
+        }
+    };
+    let (raws, issues) = parse_raw_recipes(&text);
+    for issue in &issues {
+        eprintln!("{path}:{}: {}", issue.line, issue.message);
+    }
+    Some((raws, issues))
+}
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         culinaria generate [--scale S] [--seed N] [--out DIR]   write dataset snapshots + CSV\n  \
-         culinaria migrate-artifact [--in DIR] [--out DIR]       CFDB1/CRDB1 → zero-copy v2 artifacts\n  \
+         culinaria generate [--scale S] [--seed N] [--out DIR]   write dataset artifacts + CSV\n  \
+         culinaria migrate-artifact [--in DIR] [--out DIR]       attach overlap sections to the artifacts\n  \
          culinaria analyze  [--scale S] [--seed N] [--mc N]      Fig-4 z-score table\n  \
          culinaria report   <REGION> [--scale S] [--seed N]      one cuisine in depth\n  \
          culinaria import   <FILE> [--threads N]                 import raw recipes from a file\n  \
-         culinaria ingest   <FILE> (--log PATH | --wal DIR)      import + append to a replay log\n  \
-         culinaria replay   (--log PATH | --wal DIR) [--prefix N] [--analyze]  rebuild the store\n  \
+         culinaria ingest   <FILE> --wal DIR                     import + append to the replay log\n  \
+         culinaria replay   --wal DIR [--prefix N] [--analyze]   rebuild the store\n  \
          culinaria pairings <REGION> [--scale S] [--top K]       novel pairing suggestions\n  \
          culinaria suggest  <REGION> [--size N] [--uniform|--contrast]  generate a recipe\n  \
          culinaria serve    (--stdio | --socket PATH) [--data DIR]      online query service\n  \
          culinaria regions                                       list Table 1 regions\n\
          \n\
-         analyze, report and import accept --metrics[=json]: a pipeline-\n\
-         telemetry dump (spans, counters, histograms) on stderr at exit."
+         analyze, report, import and replay --analyze accept --metrics[=json]: a\n\
+         pipeline-telemetry dump (spans, counters, histograms) on stderr at exit."
     );
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first().cloned() else {
+    let Some(command) = raw.first() else {
+        return usage();
+    };
+    let Some(&(_, allowed)) = COMMANDS.iter().find(|(name, _)| name == command) else {
         return usage();
     };
     let args = parse_args(&raw[1..]);
+    match args.only(allowed).and_then(|()| run(command, &args)) {
+        Ok(code) => code,
+        Err(msg) => {
+            eprintln!("{command}: {msg}");
+            ExitCode::from(2)
+        }
+    }
+}
 
-    match command.as_str() {
+/// Run one subcommand. `Err` is a usage error (bad flag, missing
+/// positional): `main` prints it and exits 2. Runtime failures are
+/// reported here and come back as `Ok(ExitCode::FAILURE)`. Each arm
+/// reads all of its flags before doing any work.
+fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
+    Ok(match command {
         "regions" => {
             println!(
                 "{:5} {:24} {:>8} {:>12} {:>12}",
@@ -408,154 +499,82 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "generate" => {
-            let world = build_world(&args);
+            let cfg = world_config(args)?;
             let out = args
-                .flags
-                .get("out")
-                .cloned()
+                .path("out")?
                 .unwrap_or_else(|| "culinaria-data".to_owned());
+            let world = build_world(&cfg);
             if let Err(e) = std::fs::create_dir_all(&out) {
                 eprintln!("cannot create {out}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
-            let write = |name: &str, bytes: &[u8]| -> std::io::Result<()> {
-                let path = format!("{out}/{name}");
-                let mut f = std::fs::File::create(&path)?;
-                f.write_all(bytes)?;
-                println!("wrote {path} ({} bytes)", bytes.len());
-                Ok(())
-            };
             let (flavor, recipes) = match (
-                culinaria::flavordb::io::to_snapshot(&world.flavor),
-                culinaria::recipedb::io::to_snapshot(&world.recipes),
-            ) {
-                (Ok(f), Ok(r)) => (f, r),
-                (Err(e), _) => {
-                    eprintln!("cannot encode flavor snapshot: {e}");
-                    return ExitCode::FAILURE;
-                }
-                (_, Err(e)) => {
-                    eprintln!("cannot encode recipe snapshot: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            // v2 zero-copy artifacts ride along with the v1 snapshots,
-            // so downstream consumers can open without parsing.
-            let (flavor2, recipes2) = match (
                 FlavorArtifactBuilder::new(&world.flavor).build(),
                 RecipeArtifactBuilder::new(&world.recipes).build(),
             ) {
                 (Ok(f), Ok(r)) => (f, r),
                 (Err(e), _) | (_, Err(e)) => {
                     eprintln!("cannot encode v2 artifact: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             let csv = culinaria::recipedb::io::to_csv(&world.recipes);
-            if let Err(e) = write("flavor.cfdb", &flavor)
-                .and_then(|_| write("recipes.crdb", &recipes))
-                .and_then(|_| write("flavor.cfdb2", &flavor2))
-                .and_then(|_| write("recipes.crdb2", &recipes2))
-                .and_then(|_| write("recipes.csv", csv.as_bytes()))
+            if let Err(e) = write_file(&out, "flavor.cfdb2", &flavor)
+                .and_then(|_| write_file(&out, "recipes.crdb2", &recipes))
+                .and_then(|_| write_file(&out, "recipes.csv", csv.as_bytes()))
             {
                 eprintln!("write failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             ExitCode::SUCCESS
         }
         "migrate-artifact" => {
-            // CFDB1/CRDB1 snapshots → zero-copy CFDB2/CRDB2 artifacts,
-            // with per-region overlap triangles precomputed into the
-            // flavor artifact (skip with --no-overlaps) so analyses can
-            // reuse them instead of re-sweeping at open time.
+            // Re-emit a CFDB2/CRDB2 pair with per-region overlap
+            // triangles precomputed into the flavor artifact, so
+            // analyses reuse them instead of re-sweeping at open time.
             let dir = args
-                .flags
-                .get("in")
-                .cloned()
+                .path("in")?
                 .unwrap_or_else(|| "culinaria-data".to_owned());
-            let out = args
-                .flags
-                .get("out")
-                .cloned()
-                .unwrap_or_else(|| dir.clone());
-            let read = |name: &str| -> Option<Vec<u8>> {
-                let path = format!("{dir}/{name}");
-                match std::fs::read(&path) {
-                    Ok(b) => Some(b),
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        None
-                    }
-                }
+            let out = args.path("out")?.unwrap_or_else(|| dir.clone());
+            let Some((db, store)) = decode_artifacts(&dir) else {
+                return Ok(ExitCode::FAILURE);
             };
-            let (Some(flavor_raw), Some(recipes_raw)) = (read("flavor.cfdb"), read("recipes.crdb"))
-            else {
-                return ExitCode::FAILURE;
-            };
-            let db = match culinaria::flavordb::io::from_snapshot(bytes::Bytes::from(flavor_raw)) {
-                Ok(db) => db,
-                Err(e) => {
-                    eprintln!("cannot decode flavor snapshot: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let store =
-                match culinaria::recipedb::io::from_snapshot(bytes::Bytes::from(recipes_raw)) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("cannot decode recipe snapshot: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
             let mut builder = FlavorArtifactBuilder::new(&db);
-            if !args.flags.contains_key("no-overlaps") {
-                for region in store.regions() {
-                    let cuisine = store.cuisine(region);
-                    let cache = OverlapCache::for_cuisine(&db, &cuisine);
-                    if cache.is_empty() {
-                        continue;
-                    }
-                    if let Err(e) = builder.add_overlap(region.code(), cache.pool(), cache.tri()) {
-                        eprintln!("cannot attach {} overlap section: {e}", region.code());
-                        return ExitCode::FAILURE;
-                    }
+            for region in store.regions() {
+                let cache = OverlapCache::for_cuisine(&db, &store.cuisine(region));
+                if cache.is_empty() {
+                    continue;
+                }
+                if let Err(e) = builder.add_overlap(region.code(), cache.pool(), cache.tri()) {
+                    eprintln!("cannot attach {} overlap section: {e}", region.code());
+                    return Ok(ExitCode::FAILURE);
                 }
             }
-            let (flavor2, recipes2) =
+            let (flavor, recipes) =
                 match (builder.build(), RecipeArtifactBuilder::new(&store).build()) {
                     (Ok(f), Ok(r)) => (f, r),
                     (Err(e), _) | (_, Err(e)) => {
                         eprintln!("cannot encode v2 artifact: {e}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
             if let Err(e) = std::fs::create_dir_all(&out) {
                 eprintln!("cannot create {out}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
-            let write = |name: &str, bytes: &[u8]| -> std::io::Result<()> {
-                let path = format!("{out}/{name}");
-                let mut f = std::fs::File::create(&path)?;
-                f.write_all(bytes)?;
-                println!("wrote {path} ({} bytes)", bytes.len());
-                Ok(())
-            };
-            if let Err(e) =
-                write("flavor.cfdb2", &flavor2).and_then(|_| write("recipes.crdb2", &recipes2))
+            if let Err(e) = write_file(&out, "flavor.cfdb2", &flavor)
+                .and_then(|_| write_file(&out, "recipes.crdb2", &recipes))
             {
                 eprintln!("write failed: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             ExitCode::SUCCESS
         }
         "analyze" => {
-            let world = build_world(&args);
-            let mc = MonteCarloConfig {
-                n_recipes: args.flag("mc", 20_000usize),
-                seed: args.flag("seed", 2018u64),
-                n_threads: 0,
-            };
-            let sink = args.metrics();
+            let cfg = world_config(args)?;
+            let mc = mc_config(args, 20_000)?;
+            let sink = args.metrics()?;
+            let world = build_world(&cfg);
             let analyses = match try_analyze_world_observed(
                 &world.flavor,
                 &world.recipes,
@@ -567,7 +586,7 @@ fn main() -> ExitCode {
                 Err(failure) => {
                     eprintln!("analysis failed: {failure}");
                     sink.dump();
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             println!("{}", analyses_to_frame(&analyses).to_table_string(22));
@@ -582,36 +601,28 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "import" => {
+            let threads = args.flag("threads", 0usize)?;
+            let sink = args.metrics()?;
             let Some(path) = args.positional.first() else {
-                eprintln!("import needs a file path (see --help for the format)");
-                return ExitCode::from(2);
+                return Err("needs a file path (see --help for the format)".to_owned());
             };
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let Some((raws, issues)) = read_raw_recipes(path) else {
+                return Ok(ExitCode::FAILURE);
             };
-            let (raws, issues) = parse_raw_recipes(&text);
-            for issue in &issues {
-                eprintln!("{path}:{}: {}", issue.line, issue.message);
-            }
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
             let mut store = RecipeStore::new();
-            let sink = args.metrics();
             let stats = match importer.import_batch_observed(
                 &db,
                 &mut store,
                 &raws,
-                args.flag("threads", 0usize),
+                threads,
                 &sink.metrics,
             ) {
                 Ok(s) => s,
                 Err(e) => {
                     eprintln!("import failed: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             println!(
@@ -643,43 +654,28 @@ fn main() -> ExitCode {
             }
         }
         "ingest" => {
+            let threads = args.flag("threads", 0usize)?;
+            let policy = args
+                .flag("fsync", FsyncPolicy::Batch)
+                .map_err(|msg| format!("{msg} (expected always|batch|off)"))?;
+            let segment_bytes = args.flag("segment-bytes", 8u64 * 1024 * 1024)?;
+            let Some(dir) = args.path("wal")? else {
+                return Err("needs --wal DIR (the segmented replay log)".to_owned());
+            };
             let Some(path) = args.positional.first() else {
-                eprintln!("ingest needs a file path (same text format as `import`)");
-                return ExitCode::from(2);
+                return Err("needs a file path (same text format as `import`)".to_owned());
             };
-            let log_path = args.flags.get("log").filter(|p| !p.is_empty()).cloned();
-            let wal_dir = args.flags.get("wal").filter(|p| !p.is_empty()).cloned();
-            if log_path.is_some() == wal_dir.is_some() {
-                eprintln!(
-                    "ingest needs exactly one log target: \
-                     --log PATH (single-file image) or --wal DIR (durable segments)"
-                );
-                return ExitCode::from(2);
-            }
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+            let Some((raws, issues)) = read_raw_recipes(path) else {
+                return Ok(ExitCode::FAILURE);
             };
-            let (raws, issues) = parse_raw_recipes(&text);
-            for issue in &issues {
-                eprintln!("{path}:{}: {}", issue.line, issue.message);
-            }
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
-            let threads = args.flag("threads", 0usize);
-            let outcome = if let Some(dir) = wal_dir {
-                ingest_into_wal(&args, &dir, &db, &importer, &raws, threads)
-            } else {
-                let log_path = log_path.unwrap_or_default();
-                ingest_into_log(&log_path, &db, &importer, &raws, threads)
+            let Some(stats) =
+                ingest_into_wal(&dir, policy, segment_bytes, &db, &importer, &raws, threads)
+            else {
+                return Ok(ExitCode::FAILURE);
             };
-            let Some(stats_ok) = outcome else {
-                return ExitCode::FAILURE;
-            };
-            for failure in &stats_ok.failures {
+            for failure in &stats.failures {
                 eprintln!("tombstoned {failure}");
             }
             if issues.is_empty() {
@@ -693,77 +689,44 @@ fn main() -> ExitCode {
             }
         }
         "replay" => {
-            let log_path = args.flags.get("log").filter(|p| !p.is_empty()).cloned();
-            let wal_dir = args.flags.get("wal").filter(|p| !p.is_empty()).cloned();
-            if log_path.is_some() == wal_dir.is_some() {
-                eprintln!("replay needs exactly one of --log PATH or --wal DIR");
-                return ExitCode::from(2);
-            }
+            let threads = args.flag("threads", 0usize)?;
+            let prefix = args.opt_flag::<usize>("prefix")?;
+            let analyze = args.switch("analyze")?;
+            let mc = mc_config(args, 2000)?;
+            let sink = args.metrics()?;
+            let Some(dir) = args.path("wal")? else {
+                return Err("needs --wal DIR (the segmented replay log)".to_owned());
+            };
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
-            let threads = args.flag("threads", 0usize);
-            let (total, n, replayed) = if let Some(dir) = wal_dir {
-                // Fsync off: replay only reads (recovery may still
-                // truncate a torn tail, which does sync).
-                let log = match SegmentedLog::open(&dir, FsyncPolicy::Off, 0) {
-                    Ok(log) => log,
-                    Err(e) => {
-                        eprintln!("{dir}: cannot open wal: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let rec = log.recovery();
-                if rec.recovered() || rec.orphans > 0 {
-                    eprintln!(
-                        "{dir}: recovered — {} torn byte(s) truncated, {} orphan segment(s)",
-                        rec.truncated_bytes, rec.orphans
-                    );
+            // Fsync off: replay only reads (recovery may still truncate
+            // a torn tail, which does sync).
+            let log = match SegmentedLog::open(&dir, FsyncPolicy::Off, 0) {
+                Ok(log) => log,
+                Err(e) => {
+                    eprintln!("{dir}: cannot open wal: {e}");
+                    return Ok(ExitCode::FAILURE);
                 }
-                let n = args.flag("prefix", log.len());
-                let replayed = log.replay_prefix(&db, &importer, n, threads);
-                (log.len(), n, replayed)
-            } else {
-                let log_path = log_path.unwrap_or_default();
-                let bytes = match std::fs::read(&log_path) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("cannot read {log_path}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let log = match IngestLog::from_bytes(&bytes) {
-                    Ok(log) => log,
-                    Err(e) => {
-                        eprintln!("{log_path}: corrupt import log: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let n = args.flag("prefix", log.records().len());
-                let replayed = log.replay_prefix(&db, &importer, n, threads);
-                (log.records().len(), n, replayed)
             };
-            let (store, stats) = match replayed {
+            report_recovery(&dir, &log);
+            let n = prefix.unwrap_or(log.len());
+            let (store, stats) = match log.replay_prefix(&db, &importer, n, threads) {
                 Ok(out) => out,
                 Err(e) => {
                     eprintln!("replay failed: {e}");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             println!(
-                "replayed {n}/{total} records: {} stored, {} tombstoned, \
+                "replayed {n}/{} records: {} stored, {} tombstoned, \
                  {} lines resolved, {} unresolved",
+                log.len(),
                 stats.stored,
                 stats.failures.len(),
                 stats.lines_resolved,
                 stats.lines_unresolved
             );
-            if args.flags.contains_key("analyze") {
-                let mc = MonteCarloConfig {
-                    n_recipes: args.flag("mc", 2000usize),
-                    seed: args.flag("seed", 2018u64),
-                    n_threads: 0,
-                };
-                let sink = args.metrics();
+            if analyze {
                 let analyses = match try_analyze_world_observed(
                     &db,
                     &store,
@@ -775,7 +738,7 @@ fn main() -> ExitCode {
                     Err(failure) => {
                         eprintln!("analysis failed: {failure}");
                         sink.dump();
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
                 println!("{}", analyses_to_frame(&analyses).to_table_string(22));
@@ -784,22 +747,12 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "report" => {
-            let Some(region) = args
-                .positional
-                .first()
-                .and_then(|s| s.parse::<Region>().ok())
-            else {
-                eprintln!("report needs a region code (see `culinaria regions`)");
-                return ExitCode::from(2);
-            };
-            let world = build_world(&args);
+            let region = args.region()?;
+            let cfg = world_config(args)?;
+            let mc = mc_config(args, 20_000)?;
+            let sink = args.metrics()?;
+            let world = build_world(&cfg);
             let cuisine = world.recipes.cuisine(region);
-            let mc = MonteCarloConfig {
-                n_recipes: args.flag("mc", 20_000usize),
-                seed: args.flag("seed", 2018u64),
-                n_threads: 0,
-            };
-            let sink = args.metrics();
             let analysis = match try_analyze_cuisine_observed(
                 &world.flavor,
                 &cuisine,
@@ -810,12 +763,12 @@ fn main() -> ExitCode {
                 Ok(Some(analysis)) => analysis,
                 Ok(None) => {
                     eprintln!("{region}: no pairing-bearing recipes");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 Err(failure) => {
                     eprintln!("report failed: {failure}");
                     sink.dump();
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
             };
             println!(
@@ -845,26 +798,21 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "suggest" => {
-            let Some(region) = args
-                .positional
-                .first()
-                .and_then(|s| s.parse::<Region>().ok())
-            else {
-                eprintln!("suggest needs a region code (see `culinaria regions`)");
-                return ExitCode::from(2);
-            };
-            let world = build_world(&args);
-            let size: usize = args.flag("size", 7usize);
-            let cuisine = world.recipes.cuisine(region);
-            let objective = if args.flags.contains_key("contrast") {
+            let region = args.region()?;
+            let cfg = world_config(args)?;
+            let size = args.flag("size", 7usize)?;
+            args.switch("uniform")?; // the default objective
+            let objective = if args.switch("contrast")? {
                 Objective::MinimizeSharing
             } else {
                 Objective::MaximizeSharing
             };
+            let world = build_world(&cfg);
+            let cuisine = world.recipes.cuisine(region);
             let generator = RecipeGenerator::new(&world.flavor, &cuisine, 100);
             let Some(recipe) = generator.generate_recipe(size, objective, 0) else {
                 eprintln!("{region}: pool too small for a {size}-ingredient recipe");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             };
             println!(
                 "generated {} recipe for {} (Ns = {:.2}):",
@@ -881,16 +829,10 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "pairings" => {
-            let Some(region) = args
-                .positional
-                .first()
-                .and_then(|s| s.parse::<Region>().ok())
-            else {
-                eprintln!("pairings needs a region code (see `culinaria regions`)");
-                return ExitCode::from(2);
-            };
-            let world = build_world(&args);
-            let top_k: usize = args.flag("top", 10usize);
+            let region = args.region()?;
+            let cfg = world_config(args)?;
+            let top_k = args.flag("top", 10usize)?;
+            let world = build_world(&cfg);
             let cuisine = world.recipes.cuisine(region);
             let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
             let pool = cache.pool().to_vec();
@@ -921,25 +863,39 @@ fn main() -> ExitCode {
                     (Ok(a), Ok(b)) => (&a.name, &b.name),
                     (Err(e), _) | (_, Err(e)) => {
                         eprintln!("pairing table references a dead ingredient: {e}");
-                        return ExitCode::FAILURE;
+                        return Ok(ExitCode::FAILURE);
                     }
                 };
                 println!("  {novelty:7.1}  {a} + {b}  (overlap {overlap}, co-used {cooc}×)");
             }
             ExitCode::SUCCESS
         }
-        "serve" => {
-            let opts = match ServeOptions::from_args(&args) {
-                Ok(opts) => opts,
-                Err(msg) => {
-                    eprintln!("serve: {msg}");
-                    return ExitCode::from(2);
-                }
-            };
-            run_serve(&opts)
-        }
+        "serve" => run_serve(&ServeOptions::from_args(args)?),
         _ => usage(),
-    }
+    })
+}
+
+/// Decode the CFDB2/CRDB2 pair in `dir` into owned values. `None` =
+/// failure (already reported).
+fn decode_artifacts(dir: &str) -> Option<(FlavorDb, RecipeStore)> {
+    let read = |name: &str| {
+        let path = format!("{dir}/{name}");
+        AlignedBytes::read_file(&path)
+            .map_err(|e| eprintln!("cannot read {path}: {e}"))
+            .ok()
+    };
+    let (fbuf, rbuf) = (read("flavor.cfdb2")?, read("recipes.crdb2")?);
+    let db = culinaria::flavordb::artifact::open(fbuf.as_slice())
+        .map_err(|e| e.to_string())
+        .and_then(|a| a.to_flavor_db().map_err(|e| e.to_string()))
+        .map_err(|e| eprintln!("cannot decode {dir}/flavor.cfdb2: {e}"))
+        .ok()?;
+    let store = culinaria::recipedb::artifact::open(rbuf.as_slice())
+        .map_err(|e| e.to_string())
+        .and_then(|a| a.to_recipe_store().map_err(|e| e.to_string()))
+        .map_err(|e| eprintln!("cannot decode {dir}/recipes.crdb2: {e}"))
+        .ok()?;
+    Some((db, store))
 }
 
 /// Which transport `culinaria serve` listens on. No network — queries
@@ -964,13 +920,6 @@ struct ServeOptions {
     once: bool,
     /// Bind over a socket path even when a live server answers on it.
     force_bind: bool,
-    /// `Some(dir)` when `--wal DIR` asked for durable segments to be
-    /// opened (and recovered) at startup and fsynced at shutdown.
-    wal_dir: Option<String>,
-    /// Fsync policy for the WAL segments.
-    fsync: FsyncPolicy,
-    /// WAL segment rotation threshold in bytes (0 = never rotate).
-    segment_bytes: u64,
     /// `Some(json)` when `--metrics[=json]` asked for an exit dump.
     metrics_dump: Option<bool>,
 }
@@ -978,16 +927,16 @@ struct ServeOptions {
 impl ServeOptions {
     fn from_args(args: &Args) -> Result<ServeOptions, String> {
         let cfg = ServeConfig {
-            threads: args.flag_checked("threads", 0usize)?,
-            batch_max: args.flag_checked("batch", 32usize)?,
-            cache_entries: args.flag_checked("cache-entries", 4096usize)?,
-            max_queue: args.flag_checked("max-queue", 256usize)?,
-            mc_recipes: args.flag_checked("mc", 2000usize)?,
-            seed: args.flag_checked("seed", 2018u64)?,
-            read_timeout_ms: args.flag_checked("read-timeout", 30_000u64)?,
-            write_timeout_ms: args.flag_checked("write-timeout", 30_000u64)?,
-            idle_timeout_ms: args.flag_checked("idle-timeout", 300_000u64)?,
-            max_conns: args.flag_checked("max-conns", 64usize)?,
+            threads: args.flag("threads", 0usize)?,
+            batch_max: args.flag("batch", 32usize)?,
+            cache_entries: args.flag("cache-entries", 4096usize)?,
+            max_queue: args.flag("max-queue", 256usize)?,
+            mc_recipes: args.flag("mc", 2000usize)?,
+            seed: args.flag("seed", 2018u64)?,
+            read_timeout_ms: args.flag("read-timeout", 30_000u64)?,
+            write_timeout_ms: args.flag("write-timeout", 30_000u64)?,
+            idle_timeout_ms: args.flag("idle-timeout", 300_000u64)?,
+            max_conns: args.flag("max-conns", 64usize)?,
         };
         if cfg.batch_max == 0 {
             return Err("--batch: must be at least 1".to_owned());
@@ -995,174 +944,81 @@ impl ServeOptions {
         if cfg.max_queue == 0 {
             return Err("--max-queue: must be at least 1".to_owned());
         }
-        let transport = match (args.flags.contains_key("stdio"), args.flags.get("socket")) {
+        let transport = match (args.switch("stdio")?, args.flags.get("socket")) {
             (true, Some(_)) => return Err("--stdio and --socket are mutually exclusive".to_owned()),
             (true, None) => ServeTransport::Stdio,
             (false, Some(path)) if !path.is_empty() => ServeTransport::Socket(path.clone()),
             (false, Some(_)) => return Err("--socket: needs a path".to_owned()),
             (false, None) => return Err("pick a transport: --stdio or --socket PATH".to_owned()),
         };
-        let force_bind = args.flags.contains_key("force-bind");
+        let force_bind = args.switch("force-bind")?;
         if force_bind && matches!(transport, ServeTransport::Stdio) {
             return Err("--force-bind only applies to --socket".to_owned());
         }
-        let wal_dir = match args.flags.get("wal") {
-            None => None,
-            Some(dir) if dir.is_empty() => return Err("--wal: needs a directory".to_owned()),
-            Some(dir) => Some(dir.clone()),
-        };
-        let fsync = args
-            .flag_checked("fsync", FsyncPolicy::Batch)
-            .map_err(|msg| format!("{msg} (expected always|batch|off)"))?;
-        let segment_bytes = args.flag_checked("segment-bytes", 8u64 * 1024 * 1024)?;
-        let metrics_dump = match args.flags.get("metrics").map(String::as_str) {
-            None => None,
-            Some("") => Some(false),
-            Some("json") => Some(true),
-            Some(other) => {
-                return Err(format!(
-                    "--metrics: expected `--metrics` or `--metrics=json`, got {other:?}"
-                ))
-            }
-        };
         Ok(ServeOptions {
             data_dir: args
-                .flags
-                .get("data")
-                .cloned()
+                .path("data")?
                 .unwrap_or_else(|| "culinaria-data".to_owned()),
             transport,
             cfg,
-            once: args.flags.contains_key("once"),
+            once: args.switch("once")?,
             force_bind,
-            wal_dir,
-            fsync,
-            segment_bytes,
-            metrics_dump,
+            metrics_dump: args.metrics_mode()?,
         })
     }
 }
 
-/// The dataset backing a serve session, owned for the server's whole
-/// lifetime. Artifacts stay as aligned byte buffers — the borrowed
-/// views into them are built (O(1)) inside [`run_serve`].
-enum ServeData {
-    /// Zero-copy v2 artifacts (`flavor.cfdb2` + `recipes.crdb2`).
-    Artifacts(AlignedBytes, AlignedBytes),
-    /// Decoded v1 snapshots (`flavor.cfdb` + `recipes.crdb`).
-    Owned(Box<FlavorDb>, Box<RecipeStore>),
-}
-
-/// Load the serve dataset: v2 zero-copy artifacts first, v1 snapshots
-/// as a decoded fallback, otherwise a pointer at `culinaria generate`.
-fn open_serve_data(dir: &str) -> Result<ServeData, String> {
-    let path = |name: &str| format!("{dir}/{name}");
-    let f2 = path("flavor.cfdb2");
-    let r2 = path("recipes.crdb2");
-    if std::path::Path::new(&f2).exists() && std::path::Path::new(&r2).exists() {
-        let read =
-            |p: &str| AlignedBytes::read_file(p).map_err(|e| format!("cannot read {p}: {e}"));
-        return Ok(ServeData::Artifacts(read(&f2)?, read(&r2)?));
-    }
-    let f1 = path("flavor.cfdb");
-    let r1 = path("recipes.crdb");
-    if std::path::Path::new(&f1).exists() && std::path::Path::new(&r1).exists() {
-        eprintln!("serve: no v2 artifacts in {dir}, decoding v1 snapshots (slower open)");
-        let read = |p: &str| std::fs::read(p).map_err(|e| format!("cannot read {p}: {e}"));
-        let db = culinaria::flavordb::io::from_snapshot(bytes::Bytes::from(read(&f1)?))
-            .map_err(|e| format!("cannot decode {f1}: {e}"))?;
-        let store = culinaria::recipedb::io::from_snapshot(bytes::Bytes::from(read(&r1)?))
-            .map_err(|e| format!("cannot decode {r1}: {e}"))?;
-        return Ok(ServeData::Owned(Box::new(db), Box::new(store)));
-    }
-    Err(format!(
-        "{dir}: no dataset (flavor.cfdb2/recipes.crdb2 or flavor.cfdb/recipes.crdb) — \
-         run `culinaria generate --out {dir}` first"
-    ))
-}
-
+/// Open the CFDB2/CRDB2 artifacts in `--data` zero-copy and serve them
+/// until the transport drains.
 fn run_serve(opts: &ServeOptions) -> ExitCode {
-    let data = match open_serve_data(&opts.data_dir) {
-        Ok(data) => data,
-        Err(msg) => {
-            eprintln!("serve: {msg}");
+    let dir = &opts.data_dir;
+    let fpath = format!("{dir}/flavor.cfdb2");
+    let rpath = format!("{dir}/recipes.crdb2");
+    if !(std::path::Path::new(&fpath).exists() && std::path::Path::new(&rpath).exists()) {
+        eprintln!(
+            "serve: {dir}: no dataset (flavor.cfdb2 + recipes.crdb2) — \
+             run `culinaria generate --out {dir}` first"
+        );
+        return ExitCode::FAILURE;
+    }
+    let (fbuf, rbuf) = match (
+        AlignedBytes::read_file(&fpath),
+        AlignedBytes::read_file(&rpath),
+    ) {
+        (Ok(f), Ok(r)) => (f, r),
+        (Err(e), _) => {
+            eprintln!("serve: cannot read {fpath}: {e}");
+            return ExitCode::FAILURE;
+        }
+        (_, Err(e)) => {
+            eprintln!("serve: cannot read {rpath}: {e}");
             return ExitCode::FAILURE;
         }
     };
-    // Both arms converge on `serve_over`; the borrowed-artifact views
-    // only live as long as the buffers, hence the per-arm open here.
-    match &data {
-        ServeData::Artifacts(fbuf, rbuf) => {
-            let flavor = match culinaria::flavordb::artifact::open(fbuf.as_slice()) {
-                Ok(f) => f,
-                Err(e) => {
-                    eprintln!("serve: corrupt flavor artifact: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let recipes = match culinaria::recipedb::artifact::open(rbuf.as_slice()) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("serve: corrupt recipe artifact: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "serve: opened v2 artifacts from {} (zero-copy)",
-                opts.data_dir
-            );
-            serve_over(
-                FlavorViewRef::Artifact(&flavor),
-                RecipesViewRef::Artifact(&recipes),
-                opts,
-            )
+    let flavor = match culinaria::flavordb::artifact::open(fbuf.as_slice()) {
+        Ok(f) => f,
+        Err(e) => {
+            eprintln!("serve: corrupt flavor artifact: {e}");
+            return ExitCode::FAILURE;
         }
-        ServeData::Owned(db, store) => {
-            serve_over(FlavorViewRef::Owned(db), RecipesViewRef::Owned(store), opts)
+    };
+    let recipes = match culinaria::recipedb::artifact::open(rbuf.as_slice()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("serve: corrupt recipe artifact: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-}
-
-/// Run the server over already-opened views until the transport drains.
-fn serve_over(
-    flavor: FlavorViewRef<'_>,
-    recipes: RecipesViewRef<'_>,
-    opts: &ServeOptions,
-) -> ExitCode {
+    };
+    eprintln!("serve: opened v2 artifacts from {dir} (zero-copy)");
     // The METRICS endpoint serves live telemetry, so the server always
     // records; `--metrics[=json]` only controls the exit dump below.
-    let server = Server::new(flavor, recipes, opts.cfg, Metrics::enabled());
-    // Open (and recover) the durable WAL segments before accepting any
-    // traffic, so a corrupt directory fails loudly up front and a torn
-    // tail from the previous run is repaired exactly once.
-    let mut wal = match &opts.wal_dir {
-        None => None,
-        Some(dir) => match SegmentedLog::open(dir, opts.fsync, opts.segment_bytes) {
-            Ok(log) => {
-                let rec = log.recovery();
-                eprintln!(
-                    "serve: wal {dir}: {} record(s) across {} segment(s) [fsync={}]{}",
-                    log.len(),
-                    log.n_segments(),
-                    opts.fsync,
-                    if rec.recovered() || rec.orphans > 0 {
-                        format!(
-                            " — recovered: {} torn byte(s) truncated, {} orphan(s)",
-                            rec.truncated_bytes, rec.orphans
-                        )
-                    } else {
-                        String::new()
-                    }
-                );
-                Some(log)
-            }
-            Err(e) => {
-                eprintln!("serve: cannot open wal {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-    };
-    let mut code = match &opts.transport {
+    let server = Server::new(
+        FlavorViewRef::Artifact(&flavor),
+        RecipesViewRef::Artifact(&recipes),
+        opts.cfg,
+        Metrics::enabled(),
+    );
+    let code = match &opts.transport {
         ServeTransport::Stdio => {
             let stats = server.serve_connection(std::io::stdin().lock(), std::io::stdout());
             match stats {
@@ -1181,13 +1037,6 @@ fn serve_over(
         }
         ServeTransport::Socket(path) => serve_socket(&server, path, opts),
     };
-    // Shutdown: make the WAL tail durable no matter the fsync policy.
-    if let Some(log) = wal.as_mut() {
-        if let Err(e) = log.sync() {
-            eprintln!("serve: cannot sync wal tail: {e}");
-            code = ExitCode::FAILURE;
-        }
-    }
     if let Some(json) = opts.metrics_dump {
         if json {
             eprintln!("{}", server.metrics().render_json());
@@ -1360,7 +1209,7 @@ mod tests {
         let args = parse(&["ita", "--uniform", "--size", "3"]);
         assert_eq!(args.positional, vec!["ita"]);
         assert_eq!(args.flags.get("uniform").map(String::as_str), Some(""));
-        assert_eq!(args.flag("size", 7usize), 3);
+        assert_eq!(args.flag("size", 7usize), Ok(3));
     }
 
     #[test]
@@ -1382,45 +1231,76 @@ mod tests {
     fn valued_flags_and_positionals() {
         let args = parse(&["ita", "--scale", "0.5", "--seed", "7", "extra"]);
         assert_eq!(args.positional, vec!["ita", "extra"]);
-        assert!((args.flag("scale", 0.1f64) - 0.5).abs() < 1e-12);
-        assert_eq!(args.flag("seed", 2018u64), 7);
+        assert!((args.flag("scale", 0.1f64).unwrap() - 0.5).abs() < 1e-12);
+        assert_eq!(args.flag("seed", 2018u64), Ok(7));
         // Missing flag falls back to the default.
-        assert_eq!(args.flag("mc", 20_000usize), 20_000);
+        assert_eq!(args.flag("mc", 20_000usize), Ok(20_000));
     }
 
     #[test]
     fn equals_syntax_binds_inline() {
         let args = parse(&["analyze", "--scale=0.5", "--metrics=json", "--seed", "7"]);
         assert_eq!(args.positional, vec!["analyze"]);
-        assert!((args.flag("scale", 0.1f64) - 0.5).abs() < 1e-12);
+        assert!((args.flag("scale", 0.1f64).unwrap() - 0.5).abs() < 1e-12);
         assert_eq!(args.flags.get("metrics").map(String::as_str), Some("json"));
-        assert_eq!(args.flag("seed", 2018u64), 7);
+        assert_eq!(args.flag("seed", 2018u64), Ok(7));
     }
 
     #[test]
     fn metrics_flag_selects_sink() {
-        assert!(!parse(&["analyze"]).metrics().metrics.is_enabled());
-        let text = parse(&["analyze", "--metrics"]).metrics();
+        assert!(!parse(&["analyze"]).metrics().unwrap().metrics.is_enabled());
+        let text = parse(&["analyze", "--metrics"]).metrics().unwrap();
         assert!(text.metrics.is_enabled() && !text.json);
-        let json = parse(&["analyze", "--metrics=json"]).metrics();
+        let json = parse(&["analyze", "--metrics=json"]).metrics().unwrap();
+        assert!(parse(&["--metrics=xml"]).metrics().is_err());
         assert!(json.metrics.is_enabled() && json.json);
     }
 
     #[test]
     fn flag_checked_rejects_malformed_values() {
         let args = parse(&["--threads", "two"]);
-        let err = args.flag_checked("threads", 0usize).unwrap_err();
+        let err = args.flag("threads", 0usize).unwrap_err();
         assert!(err.contains("--threads") && err.contains("two"), "{err}");
         // Absent flag is still the default; well-formed value parses.
-        assert_eq!(parse(&[]).flag_checked("threads", 3usize), Ok(3));
-        assert_eq!(
-            parse(&["--threads", "8"]).flag_checked("threads", 0usize),
-            Ok(8)
-        );
+        assert_eq!(parse(&[]).flag("threads", 3usize), Ok(3));
+        assert_eq!(parse(&["--threads", "8"]).flag("threads", 0usize), Ok(8));
         // A bare flag (empty value) is malformed for a numeric flag.
-        assert!(parse(&["--threads"])
-            .flag_checked("threads", 0usize)
-            .is_err());
+        assert!(parse(&["--threads"]).flag("threads", 0usize).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_refused_by_name() {
+        let args = parse(&["r.txt", "--wal", "w", "--log", "l", "--zzz"]);
+        assert_eq!(args.only(&["wal", "log", "zzz"]), Ok(()));
+        let err = args.only(&["wal", "threads"]).unwrap_err();
+        assert!(
+            err.starts_with("--log:") && err.contains("--wal, --threads"),
+            "{err}"
+        );
+        let err = parse(&["--x"]).only(&[]).unwrap_err();
+        assert!(err.contains("--x") && err.contains("takes none"), "{err}");
+        // Every command's table entry is unique and flag-free of `--`.
+        for (i, (name, flags)) in COMMANDS.iter().enumerate() {
+            assert!(COMMANDS[..i].iter().all(|(n, _)| n != name), "{name} twice");
+            assert!(
+                flags.iter().all(|f| !f.starts_with('-')),
+                "{name}: {flags:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn switches_take_no_value() {
+        assert_eq!(parse(&["--once"]).switch("once"), Ok(true));
+        assert_eq!(parse(&["--once", "true"]).switch("once"), Ok(true));
+        assert_eq!(parse(&["--once=false"]).switch("once"), Ok(false));
+        assert_eq!(parse(&[]).switch("once"), Ok(false));
+        let err = parse(&["--contrast", "ITA"])
+            .switch("contrast")
+            .unwrap_err();
+        assert!(err.contains("--contrast") && err.contains("ITA"), "{err}");
+        assert!(parse(&["--out="]).path("out").is_err());
+        assert_eq!(parse(&["--out", "d"]).path("out"), Ok(Some("d".to_owned())));
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn generate_writes_snapshots() {
     let dir_str = dir.to_str().expect("utf-8 temp path");
     let (ok, stdout, _) = run(&["generate", "--scale", "0.01", "--out", dir_str]);
     assert!(ok, "stdout: {stdout}");
-    for file in ["flavor.cfdb", "recipes.crdb", "recipes.csv"] {
+    for file in ["flavor.cfdb2", "recipes.crdb2", "recipes.csv"] {
         let path = dir.join(file);
         assert!(path.exists(), "{file} missing");
         assert!(
@@ -73,13 +73,39 @@ fn generate_writes_snapshots() {
             "{file} too small"
         );
     }
-    // Snapshots decode.
-    let flavor_bytes = std::fs::read(dir.join("flavor.cfdb")).expect("readable");
-    let db = culinaria::flavordb::io::from_snapshot(flavor_bytes.into()).expect("decodes");
+    // The v2 pair and the CSV are the whole dataset.
+    for file in ["flavor.cfdb", "recipes.crdb"] {
+        assert!(!dir.join(file).exists(), "{file} still written");
+    }
+    // Artifacts decode to owned databases.
+    let flavor_bytes =
+        culinaria::flavordb::AlignedBytes::read_file(dir.join("flavor.cfdb2")).expect("readable");
+    let db = culinaria::flavordb::artifact::open(flavor_bytes.as_slice())
+        .expect("opens")
+        .to_flavor_db()
+        .expect("decodes");
     assert!(db.n_ingredients() > 100);
-    let recipe_bytes = std::fs::read(dir.join("recipes.crdb")).expect("readable");
-    let store = culinaria::recipedb::io::from_snapshot(recipe_bytes.into()).expect("decodes");
+    let recipe_bytes =
+        culinaria::flavordb::AlignedBytes::read_file(dir.join("recipes.crdb2")).expect("readable");
+    let store = culinaria::recipedb::artifact::open(recipe_bytes.as_slice())
+        .expect("opens")
+        .to_recipe_store()
+        .expect("decodes");
     assert!(store.n_recipes() > 100);
+
+    // migrate-artifact re-emits the pair with overlap sections attached;
+    // the recipe artifact is unchanged.
+    let (ok, stdout, stderr) = run(&["migrate-artifact", "--in", dir_str]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("flavor.cfdb2"), "stdout: {stdout}");
+    let migrated =
+        culinaria::flavordb::AlignedBytes::read_file(dir.join("flavor.cfdb2")).expect("readable");
+    let view = culinaria::flavordb::artifact::open(migrated.as_slice()).expect("opens");
+    assert!(view.overlap_labels().count() > 0, "no overlap sections");
+    assert_eq!(
+        std::fs::read(dir.join("recipes.crdb2")).expect("readable"),
+        recipe_bytes.as_slice()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -206,69 +232,6 @@ fn serve_stdio_answers_framed_queries_over_artifacts() {
 }
 
 #[test]
-fn ingest_and_replay_round_trip_through_the_log() {
-    let dir = std::env::temp_dir().join(format!("culinaria-ingest-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let file = dir.join("recipes.txt");
-    std::fs::write(
-        &file,
-        "Bruschetta | ITA\ntomato\nolive oil\nbasil\n\n\
-         Header Only | JPN\n\n\
-         Caprese | ITA\ntomato\nbasil\n",
-    )
-    .expect("write recipes");
-    let file = file.to_str().expect("utf-8 path");
-    let log = dir.join("import.cwal");
-    let log = log.to_str().expect("utf-8 path");
-
-    // Missing --log fails fast with exit 2 and names the flag.
-    let (ok, _, stderr) = run(&["ingest", file]);
-    assert!(!ok);
-    assert!(stderr.contains("--log"), "stderr: {stderr}");
-    let (ok, _, stderr) = run(&["replay"]);
-    assert!(!ok);
-    assert!(stderr.contains("--log"), "stderr: {stderr}");
-
-    // First batch: two stored, the header-only block tombstoned.
-    let (ok, stdout, stderr) = run(&["ingest", file, "--log", log]);
-    assert!(ok, "stderr: {stderr}");
-    assert!(stdout.contains("ingested 2/3"), "stdout: {stdout}");
-    assert!(stdout.contains("3 records (+3)"), "stdout: {stdout}");
-    assert!(stderr.contains("Header Only"), "stderr: {stderr}");
-
-    // Second batch appends on top of the replayed history.
-    let (ok, stdout, _) = run(&["ingest", file, "--log", log, "--threads", "2"]);
-    assert!(ok);
-    assert!(stdout.contains("6 records (+3)"), "stdout: {stdout}");
-    assert!(stdout.contains("store: 4 recipes"), "stdout: {stdout}");
-
-    // Full replay and a prefix replay both reconstruct the stream.
-    let (ok, stdout, _) = run(&["replay", "--log", log]);
-    assert!(ok);
-    assert!(
-        stdout.contains("replayed 6/6 records: 4 stored, 2 tombstoned"),
-        "stdout: {stdout}"
-    );
-    let (ok, stdout, _) = run(&["replay", "--log", log, "--prefix", "3", "--threads", "2"]);
-    assert!(ok);
-    assert!(
-        stdout.contains("replayed 3/6 records: 2 stored, 1 tombstoned"),
-        "stdout: {stdout}"
-    );
-
-    // A corrupt log is reported, not panicked on.
-    let mut bytes = std::fs::read(log).expect("log readable");
-    let last = bytes.len() - 1;
-    bytes[last] ^= 0xff;
-    let bad = dir.join("bad.cwal");
-    std::fs::write(&bad, &bytes).expect("write corrupt log");
-    let (ok, _, stderr) = run(&["replay", "--log", bad.to_str().expect("utf-8 path")]);
-    assert!(!ok);
-    assert!(stderr.contains("corrupt import log"), "stderr: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn pairings_lists_candidates() {
     let (ok, stdout, _) = run(&["pairings", "ITA", "--scale", "0.02", "--top", "3"]);
     assert!(ok);
@@ -310,14 +273,18 @@ fn serve_hardening_flags_are_validated_before_touching_data() {
             &["serve", "--stdio", "--max-conns", "many"][..],
             "--max-conns",
         ),
+        // serve takes no WAL flags.
         (
-            &["serve", "--stdio", "--fsync", "sometimes"][..],
-            "always|batch|off",
+            &["serve", "--stdio", "--fsync", "always"][..],
+            "--fsync: unknown flag",
         ),
-        (&["serve", "--stdio", "--wal="][..], "--wal"),
         (
-            &["serve", "--stdio", "--segment-bytes", "big"][..],
-            "--segment-bytes",
+            &["serve", "--stdio", "--wal", "w"][..],
+            "--wal: unknown flag",
+        ),
+        (
+            &["serve", "--stdio", "--segment-bytes", "128"][..],
+            "--segment-bytes: unknown flag",
         ),
     ] {
         let (ok, _, stderr) = run(args);
@@ -345,22 +312,13 @@ fn ingest_and_replay_round_trip_through_wal_segments() {
     let wal = dir.join("segments");
     let wal = wal.to_str().expect("utf-8 path");
 
-    // Exactly one log target, never both, never neither.
+    // The log target is required, and `--wal` is the only one.
     let (ok, _, stderr) = run(&["ingest", file]);
     assert!(!ok);
-    assert!(
-        stderr.contains("exactly one log target"),
-        "stderr: {stderr}"
-    );
-    let (ok, _, stderr) = run(&["ingest", file, "--log", "x.cwal", "--wal", wal]);
+    assert!(stderr.contains("needs --wal DIR"), "stderr: {stderr}");
+    let (ok, _, stderr) = run(&["replay"]);
     assert!(!ok);
-    assert!(
-        stderr.contains("exactly one log target"),
-        "stderr: {stderr}"
-    );
-    let (ok, _, stderr) = run(&["replay", "--log", "x.cwal", "--wal", wal]);
-    assert!(!ok);
-    assert!(stderr.contains("exactly one of"), "stderr: {stderr}");
+    assert!(stderr.contains("needs --wal DIR"), "stderr: {stderr}");
 
     // First batch, with a rotation threshold small enough that three
     // records span multiple segments.
@@ -439,8 +397,8 @@ fn ingest_and_replay_round_trip_through_wal_segments() {
 }
 
 /// End-to-end lifecycle over a real socket: clobber guard, live
-/// traffic, SIGTERM with zero dropped in-flight replies, socket
-/// cleanup, and a WAL that reopens clean after shutdown.
+/// traffic, SIGTERM with zero dropped in-flight replies, and socket
+/// cleanup.
 #[test]
 fn socket_serve_refuses_clobber_and_drains_on_sigterm() {
     use std::io::{Read as _, Write as _};
@@ -454,12 +412,10 @@ fn socket_serve_refuses_clobber_and_drains_on_sigterm() {
     assert!(ok, "generate failed: {stdout}");
     let sock = dir.join("serve.sock");
     let sock_str = sock.to_str().expect("utf-8 path").to_owned();
-    let wal = dir.join("wal");
-    let wal_str = wal.to_str().expect("utf-8 path").to_owned();
 
     let child = Command::new(env!("CARGO_BIN_EXE_culinaria"))
         .args([
-            "serve", "--socket", &sock_str, "--data", &data, "--mc", "200", "--wal", &wal_str,
+            "serve", "--socket", &sock_str, "--data", &data, "--mc", "200",
         ])
         .stderr(std::process::Stdio::piped())
         .spawn()
@@ -537,12 +493,80 @@ fn socket_serve_refuses_clobber_and_drains_on_sigterm() {
         stderr.contains("shutdown signal received; draining connections"),
         "stderr: {stderr}"
     );
-    assert!(stderr.contains("serve: wal"), "wal not opened: {stderr}");
     assert!(!sock.exists(), "socket file must be unlinked on shutdown");
-    // The WAL directory survived shutdown in a clean, reopenable state.
-    let log =
-        culinaria::recipedb::SegmentedLog::open(&wal, culinaria::recipedb::FsyncPolicy::Off, 0)
-            .expect("wal reopens");
-    assert!(!log.recovery().recovered(), "shutdown left a torn tail");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every subcommand refuses a malformed value and a flag it does not
+/// take — including the retired ones — with exit 2 and a message naming
+/// the flag, before doing any work.
+#[test]
+fn every_subcommand_refuses_bad_values_and_unknown_flags() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["regions", "--scale", "1"], "--scale: unknown flag"),
+        (&["generate", "--scale", "big"], "--scale: cannot parse"),
+        (&["generate", "--out="], "--out: needs a value"),
+        (&["generate", "--format", "v1"], "--format: unknown flag"),
+        (&["migrate-artifact", "--in="], "--in: needs a value"),
+        (
+            &["migrate-artifact", "--no-overlaps"],
+            "--no-overlaps: unknown flag",
+        ),
+        (&["analyze", "--mc", "lots"], "--mc: cannot parse"),
+        (&["analyze", "--metrics=xml"], "--metrics"),
+        (&["analyze", "--threads", "2"], "--threads: unknown flag"),
+        (&["report", "ITA", "--seed", "x"], "--seed: cannot parse"),
+        (&["report", "ITA", "--top", "3"], "--top: unknown flag"),
+        (
+            &["import", "r.txt", "--threads", "two"],
+            "--threads: cannot parse",
+        ),
+        (&["import", "r.txt", "--wal", "w"], "--wal: unknown flag"),
+        (
+            &["ingest", "r.txt", "--wal", "w", "--threads", "two"],
+            "--threads: cannot parse",
+        ),
+        (
+            &["ingest", "r.txt", "--wal", "w", "--fsync", "sometimes"],
+            "always|batch|off",
+        ),
+        (
+            &["ingest", "r.txt", "--log", "l.cwal"],
+            "--log: unknown flag",
+        ),
+        (
+            &["replay", "--wal", "w", "--prefix", "abc"],
+            "--prefix: cannot parse",
+        ),
+        (&["replay", "--log", "l.cwal"], "--log: unknown flag"),
+        (&["pairings", "ITA", "--top", "many"], "--top: cannot parse"),
+        (&["pairings", "ITA", "--size", "3"], "--size: unknown flag"),
+        (&["suggest", "ITA", "--size", "big"], "--size: cannot parse"),
+        (
+            &["suggest", "ITA", "--contrast", "JPN"],
+            "--contrast: takes no value",
+        ),
+        (&["suggest", "ITA", "--top", "3"], "--top: unknown flag"),
+        (
+            &["serve", "--stdio", "--batch", "x"],
+            "--batch: cannot parse",
+        ),
+        (&["serve", "--stdio", "--wal", "w"], "--wal: unknown flag"),
+    ];
+    for &(args, needle) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_culinaria"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "args {args:?}: stderr {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "args {args:?}: stderr {stderr:?} does not name {needle:?}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "args {args:?} did work before failing"
+        );
+    }
 }

@@ -92,7 +92,6 @@ fn empty_plan_leaves_every_stage_bit_identical() {
             }
         }
     });
-    assert!(!fault::active());
 }
 
 #[test]
@@ -420,7 +419,15 @@ fn seeded_plans_are_reproducible() {
 // as a valid prefix that replays bit-identically at every thread count.
 // ---------------------------------------------------------------------------
 
-use culinaria::recipedb::{FsyncPolicy, SegmentedLog};
+use culinaria::recipedb::{FsyncPolicy, RecipeArtifactBuilder, SegmentedLog};
+
+/// The CRDB2 bytes of `store`: it keeps every recipe field in id
+/// order, so equal stores give equal bytes.
+fn crdb2(store: &RecipeStore) -> Vec<u8> {
+    RecipeArtifactBuilder::new(store)
+        .build()
+        .expect("recipe artifact encodes")
+}
 
 fn segment_scratch(name: &str) -> std::path::PathBuf {
     let dir =
@@ -430,8 +437,14 @@ fn segment_scratch(name: &str) -> std::path::PathBuf {
 }
 
 /// Reopen `dir` (plan cleared) and check the surviving prefix replays
-/// bit-identically to a cold batch import of the same raws.
+/// bit-identically to a cold batch import of the same raws. Runs under
+/// an empty plan: probes are process-wide, so unguarded pipeline work
+/// would see a plan another test installed meanwhile.
 fn assert_recovered_prefix_replays(dir: &std::path::Path, raws: &[RawRecipe]) {
+    fault::with_plan(FaultPlan::new(), || replay_matches_cold(dir, raws));
+}
+
+fn replay_matches_cold(dir: &std::path::Path, raws: &[RawRecipe]) {
     let db = culinaria::flavordb::curated::curated_db();
     let importer = Importer::from_flavor_db(&db);
     let log = SegmentedLog::open(dir, FsyncPolicy::Off, 0).expect("reopen after fault");
@@ -441,12 +454,12 @@ fn assert_recovered_prefix_replays(dir: &std::path::Path, raws: &[RawRecipe]) {
     let cold_stats = importer
         .import_batch(&db, &mut cold, &raws[..n], 1)
         .expect("cold import");
-    let cold_bytes = culinaria::recipedb::io::to_snapshot(&cold).expect("cold snapshot");
+    let cold_bytes = crdb2(&cold);
     for threads in THREAD_COUNTS {
         let (store, stats) = log.replay(&db, &importer, threads).expect("prefix replays");
         assert_eq!(stats, cold_stats, "stats diverged at {threads} threads");
         assert_eq!(
-            culinaria::recipedb::io::to_snapshot(&store).expect("replay snapshot"),
+            crdb2(&store),
             cold_bytes,
             "store bytes diverged at {threads} threads"
         );
@@ -521,10 +534,15 @@ fn segment_compact_fault_leaves_the_old_segments_live() {
     let (importer, raws) = import_fixture();
     let dir = segment_scratch("compact");
     let mut store = RecipeStore::new();
-    let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 256).expect("open");
-    log.append_batch(&db, &importer, &mut store, &raws, 2)
-        .expect("append_batch");
-    log.sync().expect("sync");
+    // The clean history is written under an empty plan, for the reason
+    // `assert_recovered_prefix_replays` gives.
+    let mut log = fault::with_plan(FaultPlan::new(), || {
+        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 256).expect("open");
+        log.append_batch(&db, &importer, &mut store, &raws, 2)
+            .expect("append_batch");
+        log.sync().expect("sync");
+        log
+    });
     let segments_before = log.n_segments();
     assert!(segments_before >= 2, "need rotation history");
     let err = fault::with_plan(

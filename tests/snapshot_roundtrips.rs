@@ -1,7 +1,7 @@
-//! Integration: dataset snapshots round-trip across crates — a
-//! generated world survives flavor-DB and recipe-store serialization,
-//! and the analyses computed before and after are identical. The
-//! second half hardens the zero-copy CFDB2/CRDB2 artifacts: every
+//! Integration: dataset artifacts round-trip across crates — a
+//! generated world survives CFDB2/CRDB2 encoding and the decode back to
+//! owned databases, and the analyses computed before and after are
+//! identical. The second half hardens the artifacts themselves: every
 //! truncation prefix rejected, arbitrary byte flips never panic,
 //! misaligned buffers and wrong magic/version rejected, rebuilds
 //! byte-identical, and borrowed analyses bit-identical to owned ones
@@ -16,8 +16,7 @@ use culinaria::analysis::{
 };
 use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::flavordb::{
-    artifact as flavor_artifact, io as flavor_io, AlignedBytes, ArtifactError,
-    FlavorArtifactBuilder,
+    artifact as flavor_artifact, AlignedBytes, ArtifactError, FlavorArtifactBuilder,
 };
 use culinaria::recipedb::Region;
 use culinaria::recipedb::{artifact as recipe_artifact, io as recipe_io, RecipeArtifactBuilder};
@@ -47,11 +46,24 @@ fn tiny_artifacts() -> (Vec<u8>, Vec<u8>) {
 fn world_snapshot_preserves_analysis_results() {
     let world = generate_world(&WorldConfig::tiny());
 
-    let flavor_snap = flavor_io::to_snapshot(&world.flavor).expect("encodes");
-    let recipe_snap = recipe_io::to_snapshot(&world.recipes).expect("encodes");
-
-    let flavor2 = flavor_io::from_snapshot(flavor_snap).expect("flavor snapshot decodes");
-    let recipes2 = recipe_io::from_snapshot(recipe_snap).expect("recipe snapshot decodes");
+    let flavor_bytes = AlignedBytes::from_vec(
+        FlavorArtifactBuilder::new(&world.flavor)
+            .build()
+            .expect("encodes"),
+    );
+    let recipe_bytes = AlignedBytes::from_vec(
+        RecipeArtifactBuilder::new(&world.recipes)
+            .build()
+            .expect("encodes"),
+    );
+    let flavor2 = flavor_artifact::open(flavor_bytes.as_slice())
+        .map(|a| a.to_flavor_db())
+        .expect("flavor artifact opens")
+        .expect("flavor artifact decodes");
+    let recipes2 = recipe_artifact::open(recipe_bytes.as_slice())
+        .map(|a| a.to_recipe_store())
+        .expect("recipe artifact opens")
+        .expect("recipe artifact decodes");
 
     assert_eq!(world.flavor.n_ingredients(), flavor2.n_ingredients());
     assert_eq!(world.recipes.n_recipes(), recipes2.n_recipes());
@@ -62,7 +74,7 @@ fn world_snapshot_preserves_analysis_results() {
         assert_eq!(
             before.to_bits(),
             after.to_bits(),
-            "{region}: score changed across snapshot"
+            "{region}: score changed across the artifact round trip"
         );
     }
 }
@@ -74,7 +86,7 @@ fn recipe_csv_export_is_loadable_tabular() {
     let frame = culinaria::tabular::Frame::from_csv_str(&csv).expect("own CSV parses");
     assert_eq!(frame.n_rows(), world.recipes.n_recipes());
     for col in ["recipe_id", "name", "region", "source", "ingredients"] {
-        assert!(frame.has_column(col), "{col} missing from export");
+        assert!(frame.column(col).is_ok(), "{col} missing from export");
     }
     // Region codes in the export are valid Table 1 codes.
     let regions = frame.column("region").expect("column exists");
@@ -292,13 +304,13 @@ fn snapshots_are_stable_across_identical_worlds() {
     let a = generate_world(&WorldConfig::tiny());
     let b = generate_world(&WorldConfig::tiny());
     assert_eq!(
-        flavor_io::to_snapshot(&a.flavor).unwrap(),
-        flavor_io::to_snapshot(&b.flavor).unwrap(),
-        "flavor snapshots differ for identical configs"
+        FlavorArtifactBuilder::new(&a.flavor).build().unwrap(),
+        FlavorArtifactBuilder::new(&b.flavor).build().unwrap(),
+        "flavor artifacts differ for identical configs"
     );
     assert_eq!(
-        recipe_io::to_snapshot(&a.recipes).unwrap(),
-        recipe_io::to_snapshot(&b.recipes).unwrap(),
-        "recipe snapshots differ for identical configs"
+        RecipeArtifactBuilder::new(&a.recipes).build().unwrap(),
+        RecipeArtifactBuilder::new(&b.recipes).build().unwrap(),
+        "recipe artifacts differ for identical configs"
     );
 }
