@@ -84,26 +84,18 @@ fn bench_pairing(c: &mut Criterion) {
     });
     group.finish();
 
-    // Observability A/B: the `*_observed` entry points must cost nothing
-    // when the handle is disabled (one branch per instrument, no clock
-    // reads) — `plain` and `disabled` should be indistinguishable, with
-    // `enabled` showing the true price of recording.
+    // Observability A/B: an engine entry point must cost nothing when
+    // its metrics handle is disabled (one branch per instrument, no
+    // clock reads); `enabled` shows the true price of recording.
     let mut group = c.benchmark_group("obs_overhead");
     let sub: Vec<IngredientId> = pool.iter().copied().take(150).collect();
     let disabled = culinaria_obs::Metrics::disabled();
     let enabled = culinaria_obs::Metrics::enabled();
-    group.bench_function("cache_build_plain", |b| {
-        b.iter(|| OverlapCache::build_with_threads(black_box(&world.flavor), black_box(&sub), 1))
-    });
     group.bench_function("cache_build_disabled", |b| {
-        b.iter(|| {
-            OverlapCache::build_observed(black_box(&world.flavor), black_box(&sub), 1, &disabled)
-        })
+        b.iter(|| OverlapCache::try_build(black_box(&world.flavor), black_box(&sub), 1, &disabled))
     });
     group.bench_function("cache_build_enabled", |b| {
-        b.iter(|| {
-            OverlapCache::build_observed(black_box(&world.flavor), black_box(&sub), 1, &enabled)
-        })
+        b.iter(|| OverlapCache::try_build(black_box(&world.flavor), black_box(&sub), 1, &enabled))
     });
     group.finish();
 }

@@ -13,6 +13,7 @@ use culinaria_core::null_models::{CuisineSampler, NullModel, SampleScratch};
 use culinaria_core::pairing::OverlapCache;
 use culinaria_core::z_analysis::analyze_world;
 use culinaria_datagen::{generate_world, WorldConfig};
+use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
 
 fn bench_world_analysis(c: &mut Criterion) {
@@ -65,10 +66,11 @@ fn bench_world_analysis(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function(BenchmarkId::new("bitset", pool_ids.len()), |b| {
         b.iter(|| {
-            black_box(OverlapCache::build_with_threads(
+            black_box(OverlapCache::try_build(
                 &small.flavor,
                 &pool_ids,
                 1,
+                &Metrics::disabled(),
             ))
         })
     });

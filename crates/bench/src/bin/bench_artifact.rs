@@ -18,7 +18,7 @@
 //! * **Resident bytes** — RSS delta of materializing the owned DBs vs
 //!   the byte length of the buffers the borrowed views live on.
 //! * **Parity** — `analyze_world` from the owned DBs vs
-//!   `analyze_world_view` from the borrowed views, fingerprinted over
+//!   the same `analyze_world` from the borrowed views, fingerprinted over
 //!   every `f64::to_bits`, asserted identical at 1/2/4/8 threads.
 //!
 //! Writes `BENCH_artifact.json`. Knobs: `CULINARIA_SCALE`,
@@ -30,8 +30,8 @@ use std::time::Instant;
 
 use culinaria_bench::{env_or, world_from_env};
 use culinaria_core::{
-    analyze_world, analyze_world_view, CuisineAnalysis, CuisineView, FlavorViewRef,
-    MonteCarloConfig, NullModel, OverlapCache, RecipesViewRef,
+    analyze_world, region_overlap_cache, CuisineAnalysis, CuisineView, FlavorViewRef,
+    MonteCarloConfig, NullModel, OverlapCache,
 };
 use culinaria_flavordb::{artifact as flavor_artifact, AlignedBytes, FlavorArtifactBuilder};
 use culinaria_obs::Metrics;
@@ -119,15 +119,9 @@ fn fingerprint(rows: &[CuisineAnalysis]) -> u64 {
 /// region, otherwise runs the kernel build.
 fn first_query(flavor: FlavorViewRef<'_>, cuisine: &CuisineView<'_>) -> f64 {
     let pool = cuisine.ingredient_set();
-    let cache = match flavor.overlap_section(cuisine.region().code()) {
-        Some((sec_pool, tri)) if sec_pool == pool.as_slice() => {
-            OverlapCache::from_parts(&pool, tri.to_vec()).expect("section triangle shape")
-        }
-        _ => OverlapCache::try_build_view_observed(flavor, &pool, 0, &Metrics::disabled())
-            .expect("overlap build"),
-    };
-    cache
-        .mean_cuisine_score_view(cuisine)
+    region_overlap_cache(flavor, cuisine.region(), &pool, 0, &Metrics::disabled())
+        .expect("overlap build")
+        .mean_cuisine_score(cuisine.clone())
         .expect("observed mean")
 }
 
@@ -249,12 +243,7 @@ fn main() {
             n_threads: threads,
         };
         let owned = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
-        let viewed = analyze_world_view(
-            FlavorViewRef::Artifact(&fview),
-            RecipesViewRef::Artifact(&rview),
-            &models,
-            &cfg,
-        );
+        let viewed = analyze_world(&fview, &rview, &models, &cfg);
         let fp_owned = fingerprint(&owned);
         let fp_view = fingerprint(&viewed);
         assert_eq!(

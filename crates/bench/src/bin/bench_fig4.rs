@@ -30,6 +30,7 @@ use culinaria_core::pairing::OverlapCache;
 use culinaria_core::z_analysis::analyze_world;
 use culinaria_datagen::{generate_world, WorldConfig};
 use culinaria_flavordb::FlavorDb;
+use culinaria_obs::Metrics;
 use culinaria_recipedb::{Cuisine, RecipeStore};
 use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
@@ -150,7 +151,9 @@ fn main() {
     let t = Instant::now();
     let mut bitset_checksum = 0u64;
     for p in &prepared {
-        let cache = OverlapCache::for_cuisine_with_threads(&world.flavor, &p.cuisine, n_threads);
+        let pool = p.cuisine.ingredient_set();
+        let cache = OverlapCache::try_build(&world.flavor, &pool, n_threads, &Metrics::disabled())
+            .expect("cuisine pools hold live ingredients");
         for i in 0..cache.len() as u32 {
             for j in (i + 1)..cache.len() as u32 {
                 bitset_checksum += u64::from(cache.overlap(i, j));

@@ -27,9 +27,7 @@ use rand::SeedableRng;
 
 use culinaria_bench::env_or;
 use culinaria_core::monte_carlo::MonteCarloConfig;
-use culinaria_core::ntuple::{
-    self, ktuple_null_ensemble, mean_cuisine_ktuple_score_with_threads, KTupleScorer,
-};
+use culinaria_core::ntuple::{self, ktuple_null_ensemble, mean_cuisine_ktuple_score, KTupleScorer};
 use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_datagen::{generate_world, WorldConfig};
 use culinaria_recipedb::Region;
@@ -108,7 +106,7 @@ fn main() {
         .regions()
         .into_iter()
         .filter_map(|region| {
-            let sampler = CuisineSampler::build(&world.flavor, &world.recipes.cuisine(region))?;
+            let sampler = CuisineSampler::build(&world.flavor, world.recipes.cuisine(region))?;
             Some((region, sampler, derive_seed_labeled(seed, region.code())))
         })
         .collect();
@@ -136,7 +134,7 @@ fn main() {
         let optimized_obs: Vec<f64> = regions
             .iter()
             .map(|(region, _, _)| {
-                mean_cuisine_ktuple_score_with_threads(
+                mean_cuisine_ktuple_score(
                     &world.flavor,
                     &world.recipes.cuisine(*region),
                     k,

@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use culinaria_bench::{env_or, world_from_env};
 use culinaria_core::{
-    analyze_cuisine, recipe_pairing_score, CuisineView, FlavorViewRef, MonteCarloConfig, NullModel,
+    analyze_cuisine, recipe_pairing_score, FlavorViewRef, MonteCarloConfig, NullModel,
     OverlapCache, RecipesViewRef,
 };
 use culinaria_datagen::World;
@@ -178,9 +178,8 @@ fn with_connection<T>(
 /// uses. Pairs of (request payload, expected response sans id).
 fn offline_probes(world: &World, mix: &QueryMix, mc: usize, seed: u64) -> Vec<(String, String)> {
     let (region, ids) = &mix.sets[0];
-    let cuisine_owned = world.recipes.cuisine(*region);
-    let cuisine = CuisineView::Owned(world.recipes.cuisine(*region));
-    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine_owned);
+    let cuisine = world.recipes.cuisine(*region);
+    let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
     let ids_arg = ids
         .iter()
         .map(|id| id.0.to_string())
@@ -207,7 +206,7 @@ fn offline_probes(world: &World, mix: &QueryMix, mc: usize, seed: u64) -> Vec<(S
         n_threads: 1,
     };
     let analysis =
-        analyze_cuisine(&world.flavor, &cuisine_owned, &NullModel::ALL, &cfg).expect("populated");
+        analyze_cuisine(&world.flavor, &cuisine, &NullModel::ALL, &cfg).expect("populated");
     probes.push((
         format!("ZPROF {}", region.code()),
         format!("OK {}", protocol::zprof_body(&analysis)),
@@ -266,7 +265,7 @@ fn offline_probes(world: &World, mix: &QueryMix, mc: usize, seed: u64) -> Vec<(S
     let (resolved_ids, resolved) = resolve_score_lines(&importer, &world.flavor, lines);
     assert!(resolved_ids.len() >= 2, "probe names must resolve");
     let score = recipe_pairing_score(&world.flavor, &resolved_ids);
-    let mean = cache.mean_cuisine_score_view(&cuisine).expect("scores");
+    let mean = cache.mean_cuisine_score(&cuisine).expect("scores");
     probes.push((
         format!("SCORE {}\n{}", region.code(), lines.join("\n")),
         format!(

@@ -17,12 +17,9 @@ fn main() {
     );
     for region in Region::ALL {
         let cuisine = world.recipes.cuisine(region);
-        let net = FlavorNetwork::build_observed(
-            &world.flavor,
-            &cuisine.ingredient_set(),
-            0,
-            &sink.metrics,
-        );
+        let net =
+            FlavorNetwork::try_build(&world.flavor, &cuisine.ingredient_set(), 0, &sink.metrics)
+                .expect("cuisine pools hold live ingredients");
         let bb = net.backbone(5);
         println!(
             "{:4}  {:>6} {:>8} {:>9.3} {:>11.3} {:>10}",
@@ -37,7 +34,8 @@ fn main() {
 
     section("Global network (full ingredient universe)");
     let pool: Vec<_> = world.flavor.ingredient_ids().collect();
-    let net = FlavorNetwork::build_observed(&world.flavor, &pool, 0, &sink.metrics);
+    let net = FlavorNetwork::try_build(&world.flavor, &pool, 0, &sink.metrics)
+        .expect("ingredient_ids lists live ingredients");
     println!(
         "nodes {}, edges {}, density {:.3}, clustering {:.3}",
         net.n_nodes(),

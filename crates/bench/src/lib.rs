@@ -93,7 +93,7 @@ pub fn section(title: &str) {
 
 /// A [`Metrics`] handle plus the rendering format the harness was asked
 /// for. Build one with [`metrics_from_env`]; pass `.metrics` to the
-/// `*_observed` entry points and call [`MetricsSink::dump`] at exit.
+/// engine entry points and call [`MetricsSink::dump`] at exit.
 pub struct MetricsSink {
     /// The handle the instrumented pipeline records into. Disabled
     /// (every operation a no-op) unless metrics were requested.

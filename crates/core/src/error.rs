@@ -1,15 +1,24 @@
 //! Structured failure reporting for the analysis engines.
 //!
-//! Every fallible engine entry point (`try_build`, `try_run_null_model`,
-//! `try_analyze_world`, …) reports a [`StageFailure`]: which pipeline
-//! stage failed, at which task index, and whether the task returned an
-//! error or panicked. Failures inherit the worker pool's determinism
+//! Each engine stage has one entry point that carries its
+//! implementation, and that entry point is fallible
+//! ([`OverlapCache::try_build`], [`try_run_null_model`],
+//! [`try_analyze_world`], …): it reports a [`StageFailure`] naming
+//! which pipeline stage failed, at which task index, and whether the
+//! task returned an error or panicked. The infallible conveniences
+//! (`build`, `run_null_model`, `analyze_world`, …) panic with the
+//! rendered failure. Failures inherit the worker pool's determinism
 //! contract — the lowest failing task index wins — so the same fault
 //! produces a bit-identical `StageFailure` for any thread count.
 //!
-//! Observability: engines increment an `error.<stage>` counter on the
-//! supplied [`Metrics`] handle whenever they return a failure, so
-//! operators can alert on failing stages without parsing error text.
+//! Observability: every entry point takes a [`Metrics`] handle and
+//! increments an `error.<stage>` counter on it whenever it returns a
+//! failure, so operators can alert on failing stages without parsing
+//! error text.
+//!
+//! [`OverlapCache::try_build`]: crate::pairing::OverlapCache::try_build
+//! [`try_run_null_model`]: crate::monte_carlo::try_run_null_model
+//! [`try_analyze_world`]: crate::z_analysis::try_analyze_world
 
 use std::fmt;
 

@@ -62,11 +62,11 @@ pub use error::{FailureCause, StageFailure};
 pub use monte_carlo::MonteCarloConfig;
 pub use null_models::NullModel;
 pub use pairing::{
-    mean_cuisine_score, recipe_pairing_score, recipe_pairing_score_view, OverlapCache,
+    mean_cuisine_score, recipe_pairing_score, try_recipe_pairing_score, OverlapCache,
 };
 pub use streaming::{RegionStream, StreamState};
 pub use view::{CuisineView, FlavorViewRef, RecipesViewRef};
 pub use z_analysis::{
-    analyze_cuisine, analyze_cuisine_view, analyze_world, analyze_world_view, region_overlap_cache,
-    try_analyze_cuisine_with_cache_observed, CuisineAnalysis,
+    analyze_cuisine, analyze_world, region_overlap_cache, try_analyze_cuisine_with_cache,
+    CuisineAnalysis,
 };

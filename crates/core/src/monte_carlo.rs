@@ -101,20 +101,30 @@ impl MonteCarloConfig {
 }
 
 /// Run one null model for one cuisine: sample `cfg.n_recipes` recipes,
-/// score each against `cache`, and summarize.
+/// score each against `cache`, and summarize — with telemetry off.
 ///
 /// Returns `None` when the ensemble is degenerate (fewer than two
 /// recipes sampled).
+///
+/// # Panics
+/// Panics when a sampling block fails; [`try_run_null_model`] reports
+/// it as a structured error instead.
 pub fn run_null_model(
     cache: &OverlapCache,
     sampler: &CuisineSampler,
     model: NullModel,
     cfg: &MonteCarloConfig,
 ) -> Option<NullEnsemble> {
-    run_null_model_observed(cache, sampler, model, cfg, &Metrics::disabled())
+    try_run_null_model(cache, sampler, model, cfg, &Metrics::disabled())
+        .unwrap_or_else(|failure| panic!("Monte-Carlo run failed: {failure}"))
 }
 
-/// [`run_null_model`] instrumented through `metrics`:
+/// The Monte-Carlo run every caller goes through. A panicking sampling
+/// block becomes a structured [`StageFailure`] at stage `mc.block`
+/// (lowest block index wins, identically for any thread count, and
+/// `error.mc.block` is bumped) instead of a crash.
+///
+/// Records through `metrics`:
 ///
 /// * span `mc.run` — one call per (cuisine, model) run;
 /// * counters `mc.recipes` and `mc.blocks` — sampled recipes and
@@ -123,37 +133,10 @@ pub fn run_null_model(
 ///   sampler imbalance between full and partial blocks);
 /// * the shared `pool.*` instruments.
 ///
-/// The ensemble is bit-identical to the unobserved run: block seeds,
-/// sampling, and the block-order merge are untouched, and the only
-/// per-block cost when enabled is one clock read pair.
-pub fn run_null_model_observed(
-    cache: &OverlapCache,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Option<NullEnsemble> {
-    try_run_null_model_observed(cache, sampler, model, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("Monte-Carlo run failed: {failure}"))
-}
-
-/// Fallible [`run_null_model`]: a panicking sampling block becomes a
-/// structured [`StageFailure`] at stage `mc.block` (lowest block index
-/// wins) instead of a crash.
+/// Telemetry never changes the ensemble: block seeds, sampling, and
+/// the block-order merge are untouched, and the only per-block cost
+/// when enabled is one clock read pair.
 pub fn try_run_null_model(
-    cache: &OverlapCache,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-) -> Result<Option<NullEnsemble>, StageFailure> {
-    try_run_null_model_observed(cache, sampler, model, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`run_null_model_observed`]. On success the ensemble and
-/// recorded metrics are bit-identical to the infallible run; on failure
-/// the `error.mc.block` counter is bumped and the lowest failing block
-/// index is reported, identically for any thread count.
-pub fn try_run_null_model_observed(
     cache: &OverlapCache,
     sampler: &CuisineSampler,
     model: NullModel,
@@ -169,7 +152,7 @@ pub fn try_run_null_model_observed(
     metrics.counter("mc.recipes").add(cfg.n_recipes as u64);
     metrics.counter("mc.blocks").add(n_blocks as u64);
     let block_hist = metrics.histogram("mc.block_us");
-    let blocks = pool::try_run_observed(
+    let blocks = pool::try_run(
         cfg.n_threads,
         n_blocks,
         &pool::PoolObs::new(metrics),
@@ -323,11 +306,14 @@ mod tests {
             seed: 7,
             n_threads: 2,
         };
-        let plain = run_null_model(&cache, &sampler, NullModel::Frequency, &cfg).unwrap();
+        let run = |metrics: &Metrics| {
+            try_run_null_model(&cache, &sampler, NullModel::Frequency, &cfg, metrics)
+                .expect("no faults")
+                .expect("non-degenerate")
+        };
+        let plain = run(&Metrics::disabled());
         let metrics = Metrics::enabled();
-        let observed =
-            run_null_model_observed(&cache, &sampler, NullModel::Frequency, &cfg, &metrics)
-                .unwrap();
+        let observed = run(&metrics);
         assert_eq!(plain.mean.to_bits(), observed.mean.to_bits());
         assert_eq!(plain.std_dev.to_bits(), observed.std_dev.to_bits());
         let snap = metrics.snapshot();
@@ -351,9 +337,15 @@ mod tests {
                 n_threads: threads,
             };
             let plain = run_null_model(&cache, &sampler, NullModel::Frequency, &cfg).unwrap();
-            let fallible = try_run_null_model(&cache, &sampler, NullModel::Frequency, &cfg)
-                .expect("no faults")
-                .expect("non-degenerate");
+            let fallible = try_run_null_model(
+                &cache,
+                &sampler,
+                NullModel::Frequency,
+                &cfg,
+                &Metrics::disabled(),
+            )
+            .expect("no faults")
+            .expect("non-degenerate");
             assert_eq!(plain.mean.to_bits(), fallible.mean.to_bits(), "{threads}");
             assert_eq!(plain.std_dev.to_bits(), fallible.std_dev.to_bits());
             assert_eq!(plain.n, fallible.n);
@@ -363,7 +355,8 @@ mod tests {
                 &cache,
                 &sampler,
                 NullModel::Random,
-                &MonteCarloConfig::quick(0)
+                &MonteCarloConfig::quick(0),
+                &Metrics::disabled(),
             ),
             Ok(None)
         );

@@ -12,6 +12,7 @@ use culinaria_tabular::{Column, Frame};
 
 use crate::error::StageFailure;
 use crate::pairing::OverlapCache;
+use crate::view::FlavorViewRef;
 
 /// An undirected weighted edge of the flavor network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,68 +38,39 @@ pub struct FlavorNetwork {
 }
 
 impl FlavorNetwork {
-    /// Build the network over an explicit pool (available parallelism).
-    pub fn build(db: &FlavorDb, pool: &[IngredientId]) -> FlavorNetwork {
-        FlavorNetwork::build_with_threads(db, pool, 0)
+    /// Build the network over an explicit pool with the available
+    /// parallelism and telemetry off.
+    ///
+    /// # Panics
+    /// Panics on a dead ingredient id; [`FlavorNetwork::try_build`]
+    /// reports it as a structured error instead.
+    pub fn build<'a>(flavor: impl Into<FlavorViewRef<'a>>, pool: &[IngredientId]) -> FlavorNetwork {
+        FlavorNetwork::try_build(flavor, pool, 0, &Metrics::disabled())
+            .unwrap_or_else(|failure| panic!("flavor network build failed: {failure}"))
     }
 
-    /// [`FlavorNetwork::build`] with an explicit worker count
-    /// (0 = available parallelism).
+    /// Build the network over an owned database or a CFDB2 artifact
+    /// view, with `n_threads` workers (0 = available parallelism).
     ///
     /// The upper-triangular edge sweep is fanned row-wise over the
     /// shared worker pool on top of a parallel [`OverlapCache`] build;
     /// per-row edge lists merge **in row order**, so edges come out in
     /// the same row-major order as the serial double loop and the
     /// result is identical for every thread count.
-    pub fn build_with_threads(
-        db: &FlavorDb,
-        ingredients: &[IngredientId],
-        n_threads: usize,
-    ) -> FlavorNetwork {
-        FlavorNetwork::build_observed(db, ingredients, n_threads, &Metrics::disabled())
-    }
-
-    /// [`FlavorNetwork::build_with_threads`] instrumented through
-    /// `metrics`: span `network.build` with children
+    ///
+    /// Records through `metrics`: span `network.build` with children
     /// `network.build.overlap` (the [`OverlapCache`] build, which also
     /// records the `overlap.*` instruments) and `network.build.edges`
     /// (the edge sweep + serial fold), counters `network.nodes` and
-    /// `network.edges`, plus the shared `pool.*` instruments. The
-    /// network is bit-identical to the unobserved build.
-    pub fn build_observed(
-        db: &FlavorDb,
-        ingredients: &[IngredientId],
-        n_threads: usize,
-        metrics: &Metrics,
-    ) -> FlavorNetwork {
-        FlavorNetwork::try_build_observed(db, ingredients, n_threads, metrics)
-            .unwrap_or_else(|failure| panic!("flavor network build failed: {failure}"))
-    }
-
-    /// Fallible [`FlavorNetwork::build`]: dead ingredient ids (via the
-    /// nested [`OverlapCache::try_build_observed`]) and failing edge
-    /// rows become a structured [`StageFailure`] instead of a panic.
-    pub fn try_build(db: &FlavorDb, pool: &[IngredientId]) -> Result<FlavorNetwork, StageFailure> {
-        FlavorNetwork::try_build_with_threads(db, pool, 0)
-    }
-
-    /// [`FlavorNetwork::try_build`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn try_build_with_threads(
-        db: &FlavorDb,
-        ingredients: &[IngredientId],
-        n_threads: usize,
-    ) -> Result<FlavorNetwork, StageFailure> {
-        FlavorNetwork::try_build_observed(db, ingredients, n_threads, &Metrics::disabled())
-    }
-
-    /// Fallible [`FlavorNetwork::build_observed`]. On success the
-    /// network and recorded metrics are bit-identical to the infallible
-    /// build; on failure the `error.<stage>` counter is bumped (stages:
-    /// the nested overlap build's, or `network.row` for the edge sweep)
-    /// and the lowest failing task index is reported.
-    pub fn try_build_observed(
-        db: &FlavorDb,
+    /// `network.edges`, plus the shared `pool.*` instruments. Telemetry
+    /// never changes the network.
+    ///
+    /// Dead ingredient ids (via the nested [`OverlapCache::try_build`])
+    /// and failing edge rows (stage `network.row`) become a structured
+    /// [`StageFailure`]; the `error.<stage>` counter is bumped and the
+    /// lowest failing task index is reported.
+    pub fn try_build<'a>(
+        flavor: impl Into<FlavorViewRef<'a>>,
         ingredients: &[IngredientId],
         n_threads: usize,
         metrics: &Metrics,
@@ -106,11 +78,11 @@ impl FlavorNetwork {
         let build_span = metrics.span("network.build");
         let build_guard = build_span.enter();
         let overlap_guard = build_span.child("overlap").enter();
-        let cache = OverlapCache::try_build_observed(db, ingredients, n_threads, metrics)?;
+        let cache = OverlapCache::try_build(flavor, ingredients, n_threads, metrics)?;
         overlap_guard.stop();
         let n = cache.len();
         let edges_guard = build_span.child("edges").enter();
-        let rows = pool::try_run_observed(
+        let rows = pool::try_run(
             n_threads,
             n,
             &pool::PoolObs::new(metrics),
@@ -155,16 +127,7 @@ impl FlavorNetwork {
 
     /// Build over a cuisine's ingredient set.
     pub fn for_cuisine(db: &FlavorDb, cuisine: &Cuisine<'_>) -> FlavorNetwork {
-        FlavorNetwork::for_cuisine_with_threads(db, cuisine, 0)
-    }
-
-    /// [`FlavorNetwork::for_cuisine`] with an explicit worker count.
-    pub fn for_cuisine_with_threads(
-        db: &FlavorDb,
-        cuisine: &Cuisine<'_>,
-        n_threads: usize,
-    ) -> FlavorNetwork {
-        FlavorNetwork::build_with_threads(db, &cuisine.ingredient_set(), n_threads)
+        FlavorNetwork::build(db, &cuisine.ingredient_set())
     }
 
     /// Number of nodes.
@@ -346,6 +309,11 @@ mod tests {
         (db, vec![a, b, c, d])
     }
 
+    /// The build at `threads` workers with telemetry off.
+    fn build_at(db: &FlavorDb, pool: &[IngredientId], threads: usize) -> FlavorNetwork {
+        FlavorNetwork::try_build(db, pool, threads, &Metrics::disabled()).expect("live pool")
+    }
+
     #[test]
     fn builds_expected_topology() {
         let (db, pool) = fixture();
@@ -417,9 +385,9 @@ mod tests {
                     .unwrap(),
             );
         }
-        let serial = FlavorNetwork::build_with_threads(&db, &pool, 1);
+        let serial = build_at(&db, &pool, 1);
         for threads in [0, 2, 8] {
-            let parallel = FlavorNetwork::build_with_threads(&db, &pool, threads);
+            let parallel = build_at(&db, &pool, threads);
             assert_eq!(serial.edges, parallel.edges, "{threads} threads");
             assert_eq!(serial.strength, parallel.strength, "{threads} threads");
             assert_eq!(serial.degree, parallel.degree, "{threads} threads");
@@ -429,9 +397,9 @@ mod tests {
     #[test]
     fn observed_build_matches_and_records() {
         let (db, pool) = fixture();
-        let plain = FlavorNetwork::build_with_threads(&db, &pool, 2);
+        let plain = build_at(&db, &pool, 2);
         let metrics = Metrics::enabled();
-        let observed = FlavorNetwork::build_observed(&db, &pool, 2, &metrics);
+        let observed = FlavorNetwork::try_build(&db, &pool, 2, &metrics).expect("live pool");
         assert_eq!(observed.edges, plain.edges);
         assert_eq!(observed.strength, plain.strength);
         assert_eq!(observed.degree, plain.degree);
@@ -452,14 +420,14 @@ mod tests {
         let (mut db, pool) = fixture();
         let plain = FlavorNetwork::build(&db, &pool);
         for threads in [1, 2, 8] {
-            let fallible =
-                FlavorNetwork::try_build_with_threads(&db, &pool, threads).expect("pool is live");
+            let fallible = build_at(&db, &pool, threads);
             assert_eq!(fallible.edges, plain.edges, "{threads} threads");
             assert_eq!(fallible.strength, plain.strength);
             assert_eq!(fallible.degree, plain.degree);
         }
         db.remove_ingredient("b").expect("b exists");
-        let failure = FlavorNetwork::try_build(&db, &pool).expect_err("dead id");
+        let failure =
+            FlavorNetwork::try_build(&db, &pool, 2, &Metrics::disabled()).expect_err("dead id");
         assert_eq!(failure.stage, "overlap.pack");
         assert_eq!(failure.index, 1);
     }

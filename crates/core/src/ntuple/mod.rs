@@ -39,7 +39,7 @@ use crate::error::StageFailure;
 use crate::monte_carlo::{MonteCarloConfig, BLOCK};
 use crate::null_models::{CuisineSampler, NullModel, SampleScratch};
 use crate::pairing::IntersectScratch;
-use crate::view::{CuisineView, FlavorViewRef};
+use crate::view::FlavorViewRef;
 
 /// C(n, k) as an exact integer (0 when k > n). Recipe sizes stay far
 /// below the u64 horizon, but the accumulator is widened anyway.
@@ -74,22 +74,18 @@ pub struct KTupleKernel {
 }
 
 impl KTupleKernel {
-    /// Pack the profiles of an explicit pool (rows in pool order).
-    pub fn build(db: &FlavorDb, pool: &[IngredientId]) -> KTupleKernel {
-        KTupleKernel::build_view(FlavorViewRef::Owned(db), pool)
-    }
-
-    /// [`KTupleKernel::build`] over a [`FlavorViewRef`] — the single
-    /// packing implementation both representations share. Profile
-    /// slices are identical across representations, so the packed bit
-    /// matrix (and every score derived from it) is bit-identical.
+    /// Pack the profiles of an explicit pool (rows in pool order) from
+    /// an owned database or a CFDB2 artifact view. Profile slices are
+    /// identical across representations, so the packed bit matrix (and
+    /// every score derived from it) is bit-identical.
     ///
     /// # Panics
-    /// Panics on a dead ingredient id, like the owned build.
-    pub fn build_view(view: FlavorViewRef<'_>, pool: &[IngredientId]) -> KTupleKernel {
+    /// Panics on a dead ingredient id.
+    pub fn build<'a>(flavor: impl Into<FlavorViewRef<'a>>, pool: &[IngredientId]) -> KTupleKernel {
+        let flavor = flavor.into();
         let profiles: Vec<_> = pool
             .iter()
-            .map(|&id| view.profile_molecules(id).expect("live ingredient"))
+            .map(|&id| flavor.profile_molecules(id).expect("live ingredient"))
             .collect();
         let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
         let words = universe.words();
@@ -115,11 +111,6 @@ impl KTupleKernel {
     /// [`crate::pairing::OverlapCache::for_cuisine`] on that cuisine.
     pub fn for_cuisine(db: &FlavorDb, cuisine: &Cuisine<'_>) -> KTupleKernel {
         KTupleKernel::build(db, &cuisine.ingredient_set())
-    }
-
-    /// [`KTupleKernel::for_cuisine`] over views.
-    pub fn for_cuisine_view(view: FlavorViewRef<'_>, cuisine: &CuisineView<'_>) -> KTupleKernel {
-        KTupleKernel::build_view(view, &cuisine.ingredient_set())
     }
 
     /// Pool size.
@@ -190,23 +181,18 @@ pub fn recipe_ktuple_score(db: &FlavorDb, ingredients: &[IngredientId], k: usize
     kernel.score_local_with(&locals, k, &mut IntersectScratch::new())
 }
 
-/// Mean N_s^(k) over a cuisine's recipes of size ≥ k, via one shared
-/// [`KTupleKernel`] (pack once, walk every recipe).
-pub fn mean_cuisine_ktuple_score(db: &FlavorDb, cuisine: &Cuisine<'_>, k: usize) -> f64 {
-    mean_cuisine_ktuple_score_with_threads(db, cuisine, k, 0)
-}
-
 /// Recipes per observed-scoring task (the parallel granularity of
-/// [`mean_cuisine_ktuple_score_with_threads`]).
+/// [`mean_cuisine_ktuple_score`]).
 const RECIPE_BLOCK: usize = 256;
 
-/// [`mean_cuisine_ktuple_score`] with an explicit worker count
-/// (0 = available parallelism).
+/// Mean N_s^(k) over a cuisine's recipes of size ≥ k, via one shared
+/// [`KTupleKernel`] (pack once, walk every recipe), with `n_threads`
+/// workers (0 = available parallelism).
 ///
 /// Recipes are scored in fixed blocks across the worker pool and the
 /// per-recipe scores are folded **in recipe order**, so the mean is
 /// bit-identical for every thread count (and to the serial fold).
-pub fn mean_cuisine_ktuple_score_with_threads(
+pub fn mean_cuisine_ktuple_score(
     db: &FlavorDb,
     cuisine: &Cuisine<'_>,
     k: usize,
@@ -336,7 +322,25 @@ fn ktuple_stream(k: usize, model: NullModel, block: usize) -> u64 {
 }
 
 /// Monte-Carlo null ensemble of N_s^(k) for one cuisine and model,
-/// parallel over fixed 2048-recipe blocks on the shared worker pool.
+/// with telemetry off.
+///
+/// Returns `None` for a degenerate ensemble (fewer than two recipes).
+///
+/// # Panics
+/// Panics when a sampling block fails; [`try_ktuple_null_ensemble`]
+/// reports it as a structured error instead.
+pub fn ktuple_null_ensemble(
+    scorer: &KTupleScorer,
+    sampler: &CuisineSampler,
+    model: NullModel,
+    cfg: &MonteCarloConfig,
+) -> Option<NullEnsemble> {
+    try_ktuple_null_ensemble(scorer, sampler, model, cfg, &Metrics::disabled())
+        .unwrap_or_else(|failure| panic!("k-tuple Monte-Carlo run failed: {failure}"))
+}
+
+/// The k-tuple Monte-Carlo run every caller goes through, parallel over
+/// fixed 2048-recipe blocks on the shared worker pool.
 ///
 /// Block `b` draws from `derive_seed(cfg.seed, k << 48 | model << 32 |
 /// b)` and per-block statistics merge in block order, so the ensemble
@@ -344,50 +348,16 @@ fn ktuple_stream(k: usize, model: NullModel, block: usize) -> u64 {
 /// contract as the pairwise engine (DESIGN.md §6.2). Callers salt
 /// `cfg.seed` per region (`derive_seed_labeled`) as usual.
 ///
-/// Returns `None` for a degenerate ensemble (fewer than two recipes).
-pub fn ktuple_null_ensemble(
-    scorer: &KTupleScorer,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-) -> Option<NullEnsemble> {
-    ktuple_null_ensemble_observed(scorer, sampler, model, cfg, &Metrics::disabled())
-}
-
-/// [`ktuple_null_ensemble`] instrumented through `metrics`: span
-/// `mc.ktuple.run`, counters `mc.ktuple.recipes` / `mc.ktuple.blocks`,
-/// per-block wall-time histogram `mc.ktuple.block_us`, and the shared
-/// `pool.*` instruments — the k-tuple mirror of
-/// [`crate::monte_carlo::run_null_model_observed`], with the same
-/// guarantee: the ensemble is bit-identical to the unobserved run.
-pub fn ktuple_null_ensemble_observed(
-    scorer: &KTupleScorer,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Option<NullEnsemble> {
-    try_ktuple_null_ensemble_observed(scorer, sampler, model, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("k-tuple Monte-Carlo run failed: {failure}"))
-}
-
-/// Fallible [`ktuple_null_ensemble`]: a panicking sampling block
-/// becomes a structured [`StageFailure`] at stage `mc.ktuple.block`
-/// (lowest block index wins) instead of a crash.
+/// Records through `metrics`: span `mc.ktuple.run`, counters
+/// `mc.ktuple.recipes` / `mc.ktuple.blocks`, per-block wall-time
+/// histogram `mc.ktuple.block_us`, and the shared `pool.*` instruments
+/// — the k-tuple mirror of [`crate::monte_carlo::try_run_null_model`].
+/// Telemetry never changes the ensemble.
+///
+/// A panicking sampling block becomes a structured [`StageFailure`] at
+/// stage `mc.ktuple.block` (lowest block index wins, identically for
+/// any thread count, and `error.mc.ktuple.block` is bumped).
 pub fn try_ktuple_null_ensemble(
-    scorer: &KTupleScorer,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    cfg: &MonteCarloConfig,
-) -> Result<Option<NullEnsemble>, StageFailure> {
-    try_ktuple_null_ensemble_observed(scorer, sampler, model, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`ktuple_null_ensemble_observed`]. On success the ensemble
-/// and recorded metrics are bit-identical to the infallible run; on
-/// failure the `error.mc.ktuple.block` counter is bumped and the lowest
-/// failing block index is reported, identically for any thread count.
-pub fn try_ktuple_null_ensemble_observed(
     scorer: &KTupleScorer,
     sampler: &CuisineSampler,
     model: NullModel,
@@ -405,7 +375,7 @@ pub fn try_ktuple_null_ensemble_observed(
         .add(cfg.n_recipes as u64);
     metrics.counter("mc.ktuple.blocks").add(n_blocks as u64);
     let block_hist = metrics.histogram("mc.ktuple.block_us");
-    let blocks = pool::try_run_observed(
+    let blocks = pool::try_run(
         cfg.n_threads,
         n_blocks,
         &pool::PoolObs::new(metrics),
@@ -539,7 +509,7 @@ mod tests {
             .add_recipe("r2", Region::Italy, Source::Synthetic, ids.clone())
             .unwrap();
         let cuisine = store.cuisine(Region::Italy);
-        let mean = mean_cuisine_ktuple_score(&db, &cuisine, 3);
+        let mean = mean_cuisine_ktuple_score(&db, &cuisine, 3, 0);
         assert!((mean - (1.0 + 0.25) / 2.0).abs() < 1e-12);
 
         let scorer = KTupleScorer::for_cuisine(&db, &cuisine, 3);
@@ -566,7 +536,7 @@ mod tests {
         }
         let cuisine = store.cuisine(Region::Italy);
         for k in [2usize, 3] {
-            let serial = mean_cuisine_ktuple_score_with_threads(&db, &cuisine, k, 1);
+            let serial = mean_cuisine_ktuple_score(&db, &cuisine, k, 1);
             let walker = {
                 // Reference fold over the same recipes.
                 let mut total = 0.0;
@@ -581,7 +551,7 @@ mod tests {
             };
             assert_eq!(serial.to_bits(), walker.to_bits(), "k = {k} vs reference");
             for threads in [0, 2, 8] {
-                let parallel = mean_cuisine_ktuple_score_with_threads(&db, &cuisine, k, threads);
+                let parallel = mean_cuisine_ktuple_score(&db, &cuisine, k, threads);
                 assert_eq!(serial.to_bits(), parallel.to_bits(), "{threads} threads");
             }
         }
@@ -652,11 +622,14 @@ mod tests {
             seed: 3,
             n_threads: 2,
         };
-        let plain = ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &cfg).unwrap();
+        let run = |metrics: &Metrics| {
+            try_ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &cfg, metrics)
+                .expect("no faults")
+                .expect("non-degenerate")
+        };
+        let plain = run(&Metrics::disabled());
         let metrics = Metrics::enabled();
-        let observed =
-            ktuple_null_ensemble_observed(&scorer, &sampler, NullModel::Random, &cfg, &metrics)
-                .unwrap();
+        let observed = run(&metrics);
         assert_eq!(plain.mean.to_bits(), observed.mean.to_bits());
         assert_eq!(plain.std_dev.to_bits(), observed.std_dev.to_bits());
         let snap = metrics.snapshot();

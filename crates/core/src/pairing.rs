@@ -49,49 +49,36 @@ use crate::view::{CuisineView, FlavorViewRef};
 /// let ns = recipe_pairing_score(&db, &[a, b, c]);
 /// assert!((ns - 1.0 / 3.0).abs() < 1e-12);
 /// ```
-pub fn recipe_pairing_score(db: &FlavorDb, ingredients: &[IngredientId]) -> f64 {
-    let n = ingredients.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let profiles: Vec<_> = ingredients
-        .iter()
-        .map(|&id| {
-            &db.ingredient(id)
-                .expect("recipes only reference live ingredients")
-                .profile
-        })
-        .collect();
-    let mut total = 0usize;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            total += profiles[i].shared_count(profiles[j]);
-        }
-    }
-    (2.0 * total as f64) / (n as f64 * (n as f64 - 1.0))
+///
+/// # Panics
+/// Panics on a dead ingredient id; [`try_recipe_pairing_score`]
+/// returns `None` instead.
+pub fn recipe_pairing_score<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    ingredients: &[IngredientId],
+) -> f64 {
+    try_recipe_pairing_score(flavor, ingredients).expect("recipes only reference live ingredients")
 }
 
-/// [`recipe_pairing_score`] over a representation-agnostic flavor view:
-/// works for owned databases and zero-copy artifacts alike, and returns
-/// `None` (instead of panicking) when an id is dead — the right shape
-/// for serving externally-supplied ingredient sets. Profiles are stored
-/// sorted in both representations, so the two-pointer intersection
-/// counts match [`FlavorProfile::shared_count`] exactly and the score
-/// is bit-identical to the owned path (and to
+/// [`recipe_pairing_score`] over an owned database or a zero-copy
+/// artifact, returning `None` (instead of panicking) when an id is
+/// dead — the right shape for serving externally-supplied ingredient
+/// sets. Profiles are stored sorted in both representations, so each
+/// pair's two-pointer intersection count is exact and the score is
+/// bit-identical across representations (and to
 /// [`OverlapCache::score_ids`] when every id is in the cache's pool).
-///
-/// [`FlavorProfile::shared_count`]: culinaria_flavordb::FlavorProfile::shared_count
-pub fn recipe_pairing_score_view(
-    view: FlavorViewRef<'_>,
+pub fn try_recipe_pairing_score<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
     ingredients: &[IngredientId],
 ) -> Option<f64> {
+    let flavor = flavor.into();
     let n = ingredients.len();
     if n < 2 {
         return Some(0.0);
     }
     let mut profiles = Vec::with_capacity(n);
     for &id in ingredients {
-        profiles.push(view.profile_molecules(id).ok()?);
+        profiles.push(flavor.profile_molecules(id).ok()?);
     }
     let mut total = 0usize;
     for i in 0..n {
@@ -102,8 +89,7 @@ pub fn recipe_pairing_score_view(
     Some((2.0 * total as f64) / (n as f64 * (n as f64 - 1.0)))
 }
 
-/// Two-pointer intersection size of two sorted molecule slices — the
-/// same merge walk as `FlavorProfile::shared_count`.
+/// Two-pointer intersection size of two sorted molecule slices.
 fn shared_sorted(a: &[MoleculeId], b: &[MoleculeId]) -> usize {
     let (mut i, mut j, mut shared) = (0, 0, 0);
     while i < a.len() && j < b.len() {
@@ -195,8 +181,20 @@ pub struct OverlapCache {
 }
 
 impl OverlapCache {
-    /// Build the cache for an ingredient pool, using the available
-    /// parallelism for the O(n²) intersection sweep.
+    /// Build the cache for an ingredient pool with the available
+    /// parallelism and telemetry off.
+    ///
+    /// # Panics
+    /// Panics on a dead ingredient id; [`OverlapCache::try_build`]
+    /// reports it as a structured error instead.
+    pub fn build<'a>(flavor: impl Into<FlavorViewRef<'a>>, pool: &[IngredientId]) -> OverlapCache {
+        OverlapCache::try_build(flavor, pool, 0, &Metrics::disabled())
+            .unwrap_or_else(|failure| panic!("overlap cache build failed: {failure}"))
+    }
+
+    /// Build the cache for an ingredient pool over an owned database or
+    /// a CFDB2 artifact view, with `n_threads` workers
+    /// (0 = available parallelism).
     ///
     /// Profiles are first packed as bitsets over the pool's own
     /// molecule universe ([`culinaria_flavordb::MoleculeUniverse`]), so
@@ -207,88 +205,29 @@ impl OverlapCache {
     /// worker pool, so each packed strip is streamed from memory once
     /// per tile instead of once per cell. Tile geometry never depends
     /// on the requested thread count, and overlap counts are exact
-    /// integers, so the result is bit-identical for every thread
-    /// count.
-    pub fn build(db: &FlavorDb, pool: &[IngredientId]) -> OverlapCache {
-        OverlapCache::build_with_threads(db, pool, 0)
-    }
-
-    /// [`OverlapCache::build`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn build_with_threads(
-        db: &FlavorDb,
-        pool: &[IngredientId],
-        n_threads: usize,
-    ) -> OverlapCache {
-        OverlapCache::build_observed(db, pool, n_threads, &Metrics::disabled())
-    }
-
-    /// [`OverlapCache::build_with_threads`] instrumented through
-    /// `metrics`: spans `overlap.build` (whole build), `overlap.build.pack`
-    /// (bitset packing) and `overlap.build.sweep` (the parallel O(n²)
-    /// intersection sweep), gauge `overlap.pool_size`, counter
-    /// `overlap.cells` (triangle entries computed), plus the shared
-    /// `pool.*` instruments. The cache is bit-identical to the
-    /// unobserved build.
+    /// integers, so the result is bit-identical for every thread count
+    /// and for either representation (both resolve the same sorted
+    /// `&[MoleculeId]` slices).
     ///
-    /// # Panics
-    /// Panics on a dead ingredient id — delegate to
-    /// [`OverlapCache::try_build_observed`] to get a structured error
-    /// instead.
-    pub fn build_observed(
-        db: &FlavorDb,
-        pool: &[IngredientId],
-        n_threads: usize,
-        metrics: &Metrics,
-    ) -> OverlapCache {
-        OverlapCache::try_build_observed(db, pool, n_threads, metrics)
-            .unwrap_or_else(|failure| panic!("overlap cache build failed: {failure}"))
-    }
-
-    /// Fallible [`OverlapCache::build`]: a pool entry whose ingredient
-    /// id is dead (removed or out of range) becomes a structured
-    /// [`StageFailure`] at stage `overlap.pack` instead of a panic.
-    pub fn try_build(db: &FlavorDb, pool: &[IngredientId]) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_with_threads(db, pool, 0)
-    }
-
-    /// [`OverlapCache::try_build`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn try_build_with_threads(
-        db: &FlavorDb,
-        pool: &[IngredientId],
-        n_threads: usize,
-    ) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_observed(db, pool, n_threads, &Metrics::disabled())
-    }
-
-    /// Fallible [`OverlapCache::build_observed`]. On success the cache
-    /// and the recorded metrics are bit-identical to the infallible
-    /// build; on failure the `error.<stage>` counter is bumped and the
-    /// lowest failing task index is reported (stages: `overlap.pack`
-    /// serial, `overlap.tile` across the worker pool — the index is a
-    /// band-major tile index, see [`culinaria_stats::tile`]).
-    pub fn try_build_observed(
-        db: &FlavorDb,
+    /// Records through `metrics`: spans `overlap.build` (whole build),
+    /// `overlap.build.pack` (bitset packing) and `overlap.build.sweep`
+    /// (the parallel intersection sweep), gauge `overlap.pool_size`,
+    /// counter `overlap.cells` (triangle entries computed), plus the
+    /// shared `pool.*` instruments. Telemetry never changes the cache.
+    ///
+    /// A dead (removed or out-of-range) ingredient id becomes a
+    /// [`StageFailure`] at stage `overlap.pack`; a failing sweep tile
+    /// one at `overlap.tile` (the index is a band-major tile index, see
+    /// [`culinaria_stats::tile`]). Either way the `error.<stage>`
+    /// counter is bumped and the lowest failing index is reported, for
+    /// any thread count.
+    pub fn try_build<'a>(
+        flavor: impl Into<FlavorViewRef<'a>>,
         pool: &[IngredientId],
         n_threads: usize,
         metrics: &Metrics,
     ) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_tiled(FlavorViewRef::Owned(db), pool, n_threads, metrics, None)
-    }
-
-    /// [`OverlapCache::try_build_observed`] over a [`FlavorViewRef`] —
-    /// the single implementation both representations share. Profiles
-    /// resolved from an owned database and from a CFDB2 artifact view
-    /// are the same sorted `&[MoleculeId]` slices, so the cache (and
-    /// every recorded metric) is bit-identical across representations.
-    pub fn try_build_view_observed(
-        view: FlavorViewRef<'_>,
-        pool: &[IngredientId],
-        n_threads: usize,
-        metrics: &Metrics,
-    ) -> Result<OverlapCache, StageFailure> {
-        OverlapCache::try_build_tiled(view, pool, n_threads, metrics, None)
+        OverlapCache::try_build_tiled(flavor.into(), pool, n_threads, metrics, None)
     }
 
     /// The tiled build behind every public entry point. `tile_edge`
@@ -348,7 +287,7 @@ impl OverlapCache {
         let edge = tile_edge.unwrap_or_else(|| tile::tile_rows(n, words * 8));
         let tiles = tile::TriangleTiles::new(n, edge.max(1));
         metrics.gauge("overlap.tile_rows").set(tiles.tile() as i64);
-        let results = pool::try_run_observed(
+        let results = pool::try_run(
             n_threads,
             tiles.len(),
             &pool::PoolObs::new(metrics),
@@ -445,21 +384,12 @@ impl OverlapCache {
     /// are popcounted in, so the result is **bit-identical to a cold
     /// [`OverlapCache::build`] over `pool`** while doing O(new·total)
     /// intersection work instead of O(total²).
-    pub fn extend(
+    pub fn extend<'a>(
         &self,
-        db: &FlavorDb,
+        flavor: impl Into<FlavorViewRef<'a>>,
         pool: &[IngredientId],
     ) -> Result<OverlapCache, StageFailure> {
-        self.extend_view(FlavorViewRef::Owned(db), pool)
-    }
-
-    /// [`OverlapCache::extend`] over a representation-agnostic flavor
-    /// view (owned database or zero-copy artifact).
-    pub fn extend_view(
-        &self,
-        view: FlavorViewRef<'_>,
-        pool: &[IngredientId],
-    ) -> Result<OverlapCache, StageFailure> {
+        let flavor = flavor.into();
         let m = pool.len();
         // Each grown-pool position is either an existing local index
         // (copy its cells) or a new ingredient (compute its cells).
@@ -500,7 +430,7 @@ impl OverlapCache {
         // the grown pool keeps new cells equal to a cold build's.
         let mut profiles: Vec<&[culinaria_flavordb::MoleculeId]> = Vec::with_capacity(m);
         for (i, &id) in pool.iter().enumerate() {
-            match view.profile_molecules(id) {
+            match flavor.profile_molecules(id) {
                 Ok(p) => profiles.push(p),
                 Err(e) => {
                     return Err(StageFailure::error(
@@ -537,16 +467,6 @@ impl OverlapCache {
     /// Build over a cuisine's distinct ingredient set.
     pub fn for_cuisine(db: &FlavorDb, cuisine: &Cuisine<'_>) -> OverlapCache {
         OverlapCache::build(db, &cuisine.ingredient_set())
-    }
-
-    /// [`OverlapCache::for_cuisine`] with an explicit worker count
-    /// (0 = available parallelism).
-    pub fn for_cuisine_with_threads(
-        db: &FlavorDb,
-        cuisine: &Cuisine<'_>,
-        n_threads: usize,
-    ) -> OverlapCache {
-        OverlapCache::build_with_threads(db, &cuisine.ingredient_set(), n_threads)
     }
 
     /// Pool size.
@@ -646,26 +566,14 @@ impl OverlapCache {
 
     /// Mean cuisine score via the cache; skips sub-pair recipes.
     /// `None` if any recipe references an ingredient outside the pool.
-    pub fn mean_cuisine_score(&self, cuisine: &Cuisine<'_>) -> Option<f64> {
-        self.mean_score_over(cuisine.recipes().iter().map(|r| r.ingredients()))
-    }
-
-    /// [`OverlapCache::mean_cuisine_score`] over a [`CuisineView`].
     /// Recipe iteration order is recipe-id order in both
     /// representations, so the fold (and its rounding) is identical.
-    pub fn mean_cuisine_score_view(&self, cuisine: &CuisineView<'_>) -> Option<f64> {
-        self.mean_score_over(cuisine.recipe_ingredient_lists())
-    }
-
-    /// The shared fold behind both mean-score entry points.
-    fn mean_score_over<'s>(
-        &self,
-        recipes: impl Iterator<Item = &'s [IngredientId]>,
-    ) -> Option<f64> {
+    pub fn mean_cuisine_score<'a>(&self, cuisine: impl Into<CuisineView<'a>>) -> Option<f64> {
+        let cuisine = cuisine.into();
         let mut total = 0.0;
         let mut n = 0usize;
         let mut scratch = Vec::new();
-        for ings in recipes {
+        for ings in cuisine.recipe_ingredient_lists() {
             if ings.len() >= 2 {
                 total += self.score_ids_with(ings, &mut scratch)?;
                 n += 1;
@@ -891,12 +799,17 @@ mod tests {
         }
     }
 
+    /// The build at `threads` workers with telemetry off.
+    fn build_at(db: &FlavorDb, ids: &[IngredientId], threads: usize) -> OverlapCache {
+        OverlapCache::try_build(db, ids, threads, &Metrics::disabled()).expect("live pool")
+    }
+
     #[test]
     fn build_identical_for_any_thread_count() {
         let (db, ids) = fixture();
-        let serial = OverlapCache::build_with_threads(&db, &ids, 1);
+        let serial = build_at(&db, &ids, 1);
         for threads in [0, 2, 8] {
-            let parallel = OverlapCache::build_with_threads(&db, &ids, threads);
+            let parallel = build_at(&db, &ids, threads);
             assert_eq!(serial.tri, parallel.tri, "{threads} threads");
             assert_eq!(serial.pool, parallel.pool);
         }
@@ -910,7 +823,7 @@ mod tests {
         let db = generate_flavor_db(&GeneratorConfig::tiny(42));
         let ids: Vec<IngredientId> = db.ingredient_ids().collect();
         assert!(ids.len() >= 32, "generator fixture too small");
-        let reference = OverlapCache::build_with_threads(&db, &ids, 1);
+        let reference = build_at(&db, &ids, 1);
         // The cache agrees with the sorted-merge walk cell by cell.
         for (i, &a) in ids.iter().enumerate() {
             for (j, &b) in ids.iter().enumerate().skip(i + 1) {
@@ -943,9 +856,9 @@ mod tests {
     #[test]
     fn observed_build_matches_and_records() {
         let (db, ids) = fixture();
-        let plain = OverlapCache::build_with_threads(&db, &ids, 2);
+        let plain = build_at(&db, &ids, 2);
         let metrics = Metrics::enabled();
-        let observed = OverlapCache::build_observed(&db, &ids, 2, &metrics);
+        let observed = OverlapCache::try_build(&db, &ids, 2, &metrics).expect("live pool");
         assert_eq!(observed.tri, plain.tri);
         assert_eq!(observed.pool, plain.pool);
         let snap = metrics.snapshot();
@@ -962,8 +875,7 @@ mod tests {
         let (mut db, ids) = fixture();
         let plain = OverlapCache::build(&db, &ids);
         for threads in [1, 2, 8] {
-            let fallible =
-                OverlapCache::try_build_with_threads(&db, &ids, threads).expect("pool is live");
+            let fallible = build_at(&db, &ids, threads);
             assert_eq!(fallible.tri, plain.tri, "{threads} threads");
             assert_eq!(fallible.pool, plain.pool);
         }
@@ -971,7 +883,7 @@ mod tests {
         // structured failure at that index for every thread count.
         db.remove_ingredient("c").expect("c exists");
         for threads in [1, 2, 8] {
-            let failure = OverlapCache::try_build_with_threads(&db, &ids, threads)
+            let failure = OverlapCache::try_build(&db, &ids, threads, &Metrics::disabled())
                 .expect_err("dead id fails the pack stage");
             assert_eq!(failure.stage, "overlap.pack");
             assert_eq!(failure.index, 2, "{threads} threads");
@@ -980,9 +892,9 @@ mod tests {
                 crate::error::FailureCause::Error(_)
             ));
         }
-        // The observed variant records the error counter.
+        // With telemetry on, the failure also bumps the error counter.
         let metrics = Metrics::enabled();
-        let failure = OverlapCache::try_build_observed(&db, &ids, 2, &metrics)
+        let failure = OverlapCache::try_build(&db, &ids, 2, &metrics)
             .expect_err("dead id fails the pack stage");
         assert_eq!(failure.index, 2);
         assert_eq!(metrics.snapshot().counter("error.overlap.pack"), Some(1));

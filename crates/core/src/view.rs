@@ -205,6 +205,15 @@ impl<'a> From<Cuisine<'a>> for CuisineView<'a> {
     }
 }
 
+/// Lets entry points that take `impl Into<CuisineView>` accept the
+/// `&Cuisine` owned callers hold. Copies the cuisine's recipe
+/// references, not the recipes.
+impl<'a> From<&Cuisine<'a>> for CuisineView<'a> {
+    fn from(c: &Cuisine<'a>) -> Self {
+        CuisineView::Owned(c.clone())
+    }
+}
+
 impl<'a> From<BorrowedCuisine<'a>> for CuisineView<'a> {
     fn from(c: BorrowedCuisine<'a>) -> Self {
         CuisineView::Artifact(c)
@@ -282,6 +291,28 @@ mod tests {
             let o: Vec<_> = oc.recipe_ingredient_lists().collect();
             let a: Vec<_> = ac.recipe_ingredient_lists().collect();
             assert_eq!(o, a);
+        }
+
+        // The engine entry points take either representation and give
+        // bit-identical answers.
+        let ids: Vec<IngredientId> = db.ingredient_ids().collect();
+        let score = |f| crate::pairing::try_recipe_pairing_score(f, &ids).map(f64::to_bits);
+        assert!(score(owned_f).is_some());
+        assert_eq!(score(owned_f), score(art_f));
+        let cfg = crate::MonteCarloConfig {
+            n_recipes: 300,
+            seed: 1,
+            n_threads: 2,
+        };
+        let models = [crate::NullModel::Random];
+        let owned = crate::z_analysis::analyze_world(owned_f, owned_r, &models, &cfg);
+        let art = crate::z_analysis::analyze_world(art_f, art_r, &models, &cfg);
+        assert_eq!(owned.len(), art.len());
+        for (o, a) in owned.iter().zip(&art) {
+            assert_eq!(o.observed_mean.to_bits(), a.observed_mean.to_bits());
+            let (oc, ac) = (&o.comparisons[0], &a.comparisons[0]);
+            assert_eq!(oc.null.mean.to_bits(), ac.null.mean.to_bits());
+            assert_eq!(oc.z.map(f64::to_bits), ac.z.map(f64::to_bits));
         }
     }
 

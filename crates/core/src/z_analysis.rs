@@ -13,9 +13,9 @@
 //! share a random stream, and (b) analyzing a cuisine alone is
 //! bit-identical to its row of the world run.
 
-use culinaria_flavordb::{FlavorDb, IngredientId};
+use culinaria_flavordb::IngredientId;
 use culinaria_obs::Metrics;
-use culinaria_recipedb::{Cuisine, RecipeStore, Region};
+use culinaria_recipedb::Region;
 use culinaria_stats::rng::derive_seed_labeled;
 use culinaria_stats::zscore::z_score_of_mean;
 use culinaria_stats::{fault, pool};
@@ -23,9 +23,7 @@ use culinaria_stats::{NullEnsemble, RunningStats};
 use culinaria_tabular::{Column, Frame};
 
 use crate::error::StageFailure;
-use crate::monte_carlo::{
-    block_stats, try_run_null_model_observed, McScratch, MonteCarloConfig, BLOCK,
-};
+use crate::monte_carlo::{block_stats, try_run_null_model, McScratch, MonteCarloConfig, BLOCK};
 use crate::null_models::{CuisineSampler, NullModel};
 use crate::pairing::OverlapCache;
 use crate::view::{CuisineView, FlavorViewRef, RecipesViewRef};
@@ -101,84 +99,57 @@ impl std::fmt::Display for PairingVerdict {
     }
 }
 
-/// Analyze one cuisine against the given models. Returns `None` for
-/// cuisines with no pairing-bearing recipes.
+/// Analyze one cuisine against the given models, with telemetry off.
+/// Returns `None` for cuisines with no pairing-bearing recipes.
+///
+/// # Panics
+/// Panics on a stage failure; [`try_analyze_cuisine`] reports it as a
+/// structured error instead.
+pub fn analyze_cuisine<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    cuisine: impl Into<CuisineView<'a>>,
+    models: &[NullModel],
+    cfg: &MonteCarloConfig,
+) -> Option<CuisineAnalysis> {
+    try_analyze_cuisine(flavor, cuisine, models, cfg, &Metrics::disabled())
+        .unwrap_or_else(|failure| panic!("cuisine analysis failed: {failure}"))
+}
+
+/// The cuisine analysis every caller goes through, over owned data or
+/// zero-copy CFDB2/CRDB2 artifact views. The analysis is bit-identical
+/// across representations; an artifact that carries the region's
+/// overlap section skips the cache build (see [`region_overlap_cache`])
+/// without changing any number.
 ///
 /// The Monte-Carlo streams are salted with the cuisine's region code,
 /// so the result is bit-identical to the same region's row of
-/// [`analyze_world`] under the same configuration.
-pub fn analyze_cuisine(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Option<CuisineAnalysis> {
-    analyze_cuisine_observed(db, cuisine, models, cfg, &Metrics::disabled())
-}
-
-/// [`analyze_cuisine`] instrumented through `metrics`: the nested
-/// overlap-cache build records the `overlap.*` instruments and each
-/// null-model run records the `mc.*` and `pool.*` instruments (see
-/// [`crate::monte_carlo::run_null_model_observed`]). Bit-identical to
-/// the unobserved analysis.
-pub fn analyze_cuisine_observed(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Option<CuisineAnalysis> {
-    try_analyze_cuisine_observed(db, cuisine, models, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("cuisine analysis failed: {failure}"))
-}
-
-/// Fallible [`analyze_cuisine`]: stage failures (dead ingredient ids,
-/// degenerate ensembles, panicking Monte-Carlo blocks) become a
-/// structured [`StageFailure`] instead of a panic. `Ok(None)` still
-/// means "no pairing-bearing recipes" — that is an expected outcome,
+/// [`try_analyze_world`] under the same configuration.
+///
+/// Records through `metrics`: the nested overlap-cache build records
+/// the `overlap.*` instruments and each null-model run the `mc.*` and
+/// `pool.*` instruments (see
+/// [`crate::monte_carlo::try_run_null_model`]). Telemetry never changes
+/// the analysis.
+///
+/// Stage failures (dead ingredient ids, degenerate ensembles,
+/// panicking Monte-Carlo blocks) become a structured [`StageFailure`],
+/// deterministic for any thread count, and bump `error.<stage>`.
+/// `Ok(None)` means "no pairing-bearing recipes" — an expected outcome,
 /// not a failure.
-pub fn try_analyze_cuisine(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    try_analyze_cuisine_observed(db, cuisine, models, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`analyze_cuisine_observed`]. On success the analysis and
-/// recorded metrics are bit-identical to the infallible path; on
-/// failure the `error.<stage>` counter is bumped and the failure is
-/// deterministic for any thread count.
-pub fn try_analyze_cuisine_observed(
-    db: &FlavorDb,
-    cuisine: &Cuisine<'_>,
+pub fn try_analyze_cuisine<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    cuisine: impl Into<CuisineView<'a>>,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    try_analyze_cuisine_view_observed(
-        FlavorViewRef::Owned(db),
-        &CuisineView::Owned(cuisine.clone()),
-        models,
-        cfg,
-        metrics,
-    )
-}
-
-/// [`analyze_cuisine`] over representation-agnostic views: pass
-/// `FlavorViewRef::Artifact` / `CuisineView::Artifact` to analyze a
-/// zero-copy CFDB2/CRDB2 artifact pair without materializing owned
-/// databases. Bit-identical to the owned analysis. Panics on stage
-/// failures; see [`try_analyze_cuisine_view_observed`].
-pub fn analyze_cuisine_view(
-    flavor: FlavorViewRef<'_>,
-    cuisine: &CuisineView<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Option<CuisineAnalysis> {
-    try_analyze_cuisine_view_observed(flavor, cuisine, models, cfg, &Metrics::disabled())
-        .unwrap_or_else(|failure| panic!("cuisine analysis failed: {failure}"))
+    let (flavor, cuisine) = (flavor.into(), cuisine.into());
+    let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) else {
+        return Ok(None);
+    };
+    let pool = cuisine.ingredient_set();
+    let cache = region_overlap_cache(flavor, cuisine.region(), &pool, cfg.n_threads, metrics)?;
+    analyze_sampled(cuisine, &sampler, &cache, models, cfg, metrics)
 }
 
 /// Obtain a region's overlap cache: when the flavor view carries a
@@ -204,44 +175,25 @@ pub fn region_overlap_cache(
             }
         }
     }
-    OverlapCache::try_build_view_observed(flavor, pool, n_threads, metrics)
+    OverlapCache::try_build(flavor, pool, n_threads, metrics)
 }
 
-/// The view-based cuisine analysis every cuisine entry point funnels
-/// through. On success the analysis and recorded metrics are
-/// bit-identical whether the views are owned or artifact-backed
-/// (artifact overlap sections additionally short-circuit the cache
-/// build; the resulting numbers are unchanged).
-pub fn try_analyze_cuisine_view_observed(
-    flavor: FlavorViewRef<'_>,
-    cuisine: &CuisineView<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let Some(sampler) = CuisineSampler::build_view(flavor, cuisine) else {
-        return Ok(None);
-    };
-    let pool = cuisine.ingredient_set();
-    let cache = region_overlap_cache(flavor, cuisine.region(), &pool, cfg.n_threads, metrics)?;
-    analyze_sampled(cuisine, &sampler, &cache, models, cfg, metrics)
-}
-
-/// [`try_analyze_cuisine_view_observed`] with a caller-supplied overlap
-/// cache — the entry point for long-lived processes (`culinaria serve`)
-/// that build each region's cache once and reuse it across queries.
-/// The cache must cover the cuisine's ingredient set (what
-/// [`region_overlap_cache`] builds); the analysis is then bit-identical
-/// to the cache-building path for the same `cfg`.
-pub fn try_analyze_cuisine_with_cache_observed(
-    flavor: FlavorViewRef<'_>,
-    cuisine: &CuisineView<'_>,
+/// [`try_analyze_cuisine`] with a caller-supplied overlap cache — the
+/// entry point for long-lived processes (`culinaria serve`) that build
+/// each region's cache once and reuse it across queries. The cache must
+/// cover the cuisine's ingredient set (what [`region_overlap_cache`]
+/// builds); the analysis is then bit-identical to the cache-building
+/// path for the same `cfg`.
+pub fn try_analyze_cuisine_with_cache<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    cuisine: impl Into<CuisineView<'a>>,
     cache: &OverlapCache,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let Some(sampler) = CuisineSampler::build_view(flavor, cuisine) else {
+    let cuisine = cuisine.into();
+    let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) else {
         return Ok(None);
     };
     analyze_sampled(cuisine, &sampler, cache, models, cfg, metrics)
@@ -250,33 +202,34 @@ pub fn try_analyze_cuisine_with_cache_observed(
 /// Shared tail of the cuisine analysis once a sampler and overlap
 /// cache exist: observed mean, per-model null ensembles, Z-scores.
 fn analyze_sampled(
-    cuisine: &CuisineView<'_>,
+    cuisine: CuisineView<'_>,
     sampler: &CuisineSampler,
     cache: &OverlapCache,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let observed_mean = cache.mean_cuisine_score_view(cuisine).ok_or_else(|| {
+    let region = cuisine.region();
+    let observed_mean = cache.mean_cuisine_score(cuisine).ok_or_else(|| {
         StageFailure::error(
             "cuisine.score",
             0,
             format!(
                 "cuisine {} references ingredients outside its own pool",
-                cuisine.region().code()
+                region.code()
             ),
         )
         .record(metrics)
     })?;
 
     let region_cfg = MonteCarloConfig {
-        seed: derive_seed_labeled(cfg.seed, cuisine.region().code()),
+        seed: derive_seed_labeled(cfg.seed, region.code()),
         ..*cfg
     };
     let mut comparisons = Vec::with_capacity(models.len());
     for (mi, &model) in models.iter().enumerate() {
-        let null = try_run_null_model_observed(cache, sampler, model, &region_cfg, metrics)?
-            .ok_or_else(|| {
+        let null =
+            try_run_null_model(cache, sampler, model, &region_cfg, metrics)?.ok_or_else(|| {
                 StageFailure::error(
                     "mc.run",
                     mi,
@@ -289,7 +242,7 @@ fn analyze_sampled(
     }
 
     Ok(Some(CuisineAnalysis {
-        region: cuisine.region(),
+        region,
         n_recipes: sampler.n_templates(),
         n_ingredients: cache.len(),
         observed_mean,
@@ -310,7 +263,41 @@ struct PreparedRegion {
     seed: u64,
 }
 
-/// Analyze every populated region of a store (the full Fig 4 run).
+/// Analyze every populated region of a store (the full Fig 4 run),
+/// with telemetry off.
+///
+/// # Panics
+/// Panics on a stage failure; [`try_analyze_world`] reports it as a
+/// structured error instead.
+pub fn analyze_world<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    recipes: impl Into<RecipesViewRef<'a>>,
+    models: &[NullModel],
+    cfg: &MonteCarloConfig,
+) -> Vec<CuisineAnalysis> {
+    analyze_world_observed(flavor, recipes, models, cfg, &Metrics::disabled())
+}
+
+/// [`analyze_world`] recording through `metrics` (see
+/// [`try_analyze_world`] for the instruments).
+///
+/// # Panics
+/// Panics on a stage failure, like [`analyze_world`].
+pub fn analyze_world_observed<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    recipes: impl Into<RecipesViewRef<'a>>,
+    models: &[NullModel],
+    cfg: &MonteCarloConfig,
+    metrics: &Metrics,
+) -> Vec<CuisineAnalysis> {
+    try_analyze_world(flavor, recipes, models, cfg, metrics)
+        .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"))
+}
+
+/// The world driver every caller goes through, over owned data or
+/// zero-copy CFDB2/CRDB2 artifact views (artifact flavor views with
+/// precomputed overlap sections skip the per-region cache builds, see
+/// [`OverlapCache::from_parts`]).
 ///
 /// All `(region, model, block)` Monte-Carlo work units go through one
 /// shared worker pool as a single flattened queue — there is no
@@ -318,17 +305,10 @@ struct PreparedRegion {
 /// overlap with the next cuisine's blocks. Block statistics come back
 /// in canonical task order and are merged per `(region, model)` in
 /// block order, keeping every number bit-identical for any thread
-/// count and equal to the per-region [`analyze_cuisine`] results.
-pub fn analyze_world(
-    db: &FlavorDb,
-    store: &RecipeStore,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Vec<CuisineAnalysis> {
-    analyze_world_observed(db, store, models, cfg, &Metrics::disabled())
-}
-
-/// [`analyze_world`] instrumented through `metrics`:
+/// count, for either representation, and equal to the per-region
+/// [`try_analyze_cuisine`] results.
+///
+/// Records through `metrics`:
 ///
 /// * spans `world.prepare` (samplers + overlap caches + observed
 ///   means; the nested cache builds record the `overlap.*`
@@ -340,88 +320,30 @@ pub fn analyze_world(
 ///   world run;
 /// * the shared `pool.*` instruments.
 ///
-/// Every analysis row is bit-identical to the unobserved driver.
-pub fn analyze_world_observed(
-    db: &FlavorDb,
-    store: &RecipeStore,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Vec<CuisineAnalysis> {
-    try_analyze_world_observed(db, store, models, cfg, metrics)
-        .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"))
-}
-
-/// Fallible [`analyze_world`]: failures in region preparation, the
+/// Telemetry never changes a row. Failures in region preparation, the
 /// flattened Monte-Carlo queue (stage `world.block`, lowest task index
-/// wins), or the canonical merge become a structured [`StageFailure`]
-/// instead of aborting the whole run with a panic.
-pub fn try_analyze_world(
-    db: &FlavorDb,
-    store: &RecipeStore,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Result<Vec<CuisineAnalysis>, StageFailure> {
-    try_analyze_world_observed(db, store, models, cfg, &Metrics::disabled())
-}
-
-/// Fallible [`analyze_world_observed`]. On success the rows and
-/// recorded metrics are bit-identical to the infallible driver; on
-/// failure the `error.<stage>` counter is bumped and the reported
-/// failure is identical for any thread count.
-pub fn try_analyze_world_observed(
-    db: &FlavorDb,
-    store: &RecipeStore,
+/// wins), or the canonical merge become a structured [`StageFailure`],
+/// identical for any thread count, and bump `error.<stage>`.
+pub fn try_analyze_world<'a>(
+    flavor: impl Into<FlavorViewRef<'a>>,
+    recipes: impl Into<RecipesViewRef<'a>>,
     models: &[NullModel],
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Vec<CuisineAnalysis>, StageFailure> {
-    try_analyze_world_view_observed(
-        FlavorViewRef::Owned(db),
-        RecipesViewRef::Owned(store),
-        models,
-        cfg,
-        metrics,
-    )
-}
-
-/// [`analyze_world`] over representation-agnostic views — run the full
-/// Fig 4 driver straight off zero-copy CFDB2/CRDB2 buffers.
-/// Bit-identical to the owned driver for every thread count. Panics on
-/// stage failures; see [`try_analyze_world_view_observed`].
-pub fn analyze_world_view(
-    flavor: FlavorViewRef<'_>,
-    recipes: RecipesViewRef<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-) -> Vec<CuisineAnalysis> {
-    try_analyze_world_view_observed(flavor, recipes, models, cfg, &Metrics::disabled())
-        .unwrap_or_else(|failure| panic!("world analysis failed: {failure}"))
-}
-
-/// The view-based world driver every world entry point funnels
-/// through. Artifact flavor views with precomputed overlap sections
-/// skip the per-region cache builds (see [`OverlapCache::from_parts`]);
-/// all emitted numbers are bit-identical either way.
-pub fn try_analyze_world_view_observed(
-    flavor: FlavorViewRef<'_>,
-    recipes: RecipesViewRef<'_>,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Result<Vec<CuisineAnalysis>, StageFailure> {
+    let (flavor, recipes) = (flavor.into(), recipes.into());
     // Setup pass: samplers, overlap caches (internally parallel), and
     // observed means per populated region.
     let prepare_guard = metrics.span("world.prepare").enter();
     let mut prepared: Vec<PreparedRegion> = Vec::new();
     for region in recipes.regions() {
         let cuisine = recipes.cuisine(region);
-        let Some(sampler) = CuisineSampler::build_view(flavor, &cuisine) else {
+        let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) else {
             continue;
         };
         let pool = cuisine.ingredient_set();
         let cache = region_overlap_cache(flavor, region, &pool, cfg.n_threads, metrics)?;
-        let observed_mean = cache.mean_cuisine_score_view(&cuisine).ok_or_else(|| {
+        let observed_mean = cache.mean_cuisine_score(cuisine).ok_or_else(|| {
             StageFailure::error(
                 "world.prepare",
                 prepared.len(),
@@ -458,7 +380,7 @@ pub fn try_analyze_world_view_observed(
     metrics.counter("mc.blocks").add(n_tasks as u64);
     let block_hist = metrics.histogram("mc.block_us");
     let mc_guard = metrics.span("world.mc").enter();
-    let block_results = pool::try_run_observed(
+    let block_results = pool::try_run(
         cfg.n_threads,
         n_tasks,
         &pool::PoolObs::new(metrics),
@@ -588,14 +510,14 @@ mod tests {
 
         let ita = analyze_cuisine(
             &world.flavor,
-            &world.recipes.cuisine(Region::Italy),
+            world.recipes.cuisine(Region::Italy),
             &models,
             &cfg,
         )
         .unwrap();
         let jpn = analyze_cuisine(
             &world.flavor,
-            &world.recipes.cuisine(Region::Japan),
+            world.recipes.cuisine(Region::Japan),
             &models,
             &cfg,
         )
@@ -618,7 +540,7 @@ mod tests {
         let models = [NullModel::Random, NullModel::Frequency];
         let ita = analyze_cuisine(
             &world.flavor,
-            &world.recipes.cuisine(Region::Italy),
+            world.recipes.cuisine(Region::Italy),
             &models,
             &cfg,
         )
@@ -696,10 +618,13 @@ mod tests {
             seed: 13,
             n_threads: 2,
         };
-        let plain = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
+        let run = |metrics: &Metrics| {
+            try_analyze_world(&world.flavor, &world.recipes, &models, &cfg, metrics)
+                .expect("no faults")
+        };
+        let plain = run(&Metrics::disabled());
         let metrics = Metrics::enabled();
-        let observed =
-            analyze_world_observed(&world.flavor, &world.recipes, &models, &cfg, &metrics);
+        let observed = run(&metrics);
         assert_eq!(plain.len(), observed.len());
         for (a, b) in plain.iter().zip(&observed) {
             assert_eq!(a.region, b.region);
@@ -739,7 +664,7 @@ mod tests {
         for row in all.iter().take(4) {
             let solo = analyze_cuisine(
                 &world.flavor,
-                &world.recipes.cuisine(row.region),
+                world.recipes.cuisine(row.region),
                 &models,
                 &cfg,
             )
@@ -767,8 +692,14 @@ mod tests {
             n_threads: 2,
         };
         let plain = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
-        let fallible =
-            try_analyze_world(&world.flavor, &world.recipes, &models, &cfg).expect("no faults");
+        let fallible = try_analyze_world(
+            &world.flavor,
+            &world.recipes,
+            &models,
+            &cfg,
+            &Metrics::disabled(),
+        )
+        .expect("no faults");
         assert_eq!(plain.len(), fallible.len());
         for (a, b) in plain.iter().zip(&fallible) {
             assert_eq!(a.region, b.region);
@@ -780,9 +711,10 @@ mod tests {
         }
         let cuisine = world.recipes.cuisine(Region::Italy);
         let solo = analyze_cuisine(&world.flavor, &cuisine, &models, &cfg).unwrap();
-        let solo_try = try_analyze_cuisine(&world.flavor, &cuisine, &models, &cfg)
-            .expect("no faults")
-            .expect("pairing-bearing cuisine");
+        let solo_try =
+            try_analyze_cuisine(&world.flavor, &cuisine, &models, &cfg, &Metrics::disabled())
+                .expect("no faults")
+                .expect("pairing-bearing cuisine");
         assert_eq!(
             solo.observed_mean.to_bits(),
             solo_try.observed_mean.to_bits()

@@ -92,7 +92,7 @@ proptest! {
         let fps: Vec<CuisineFingerprint> = store
             .regions()
             .into_iter()
-            .map(|r| CuisineFingerprint::of(&d, &store.cuisine(r)))
+            .map(|r| CuisineFingerprint::of(&d, &store.cuisine(r), 0))
             .collect();
         for a in &fps {
             prop_assert!((cosine_similarity(a, a) - 1.0).abs() < 1e-9);

@@ -468,7 +468,7 @@ impl Importer {
         let resolve_span = metrics.span("import.resolve");
         let guard = resolve_span.enter();
         let resolved: Vec<Outcome> = match mode {
-            ImportMode::Pooled => pool::try_run_observed(
+            ImportMode::Pooled => pool::try_run(
                 n_threads,
                 raw.len(),
                 &pool::PoolObs::new(metrics),

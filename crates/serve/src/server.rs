@@ -38,9 +38,9 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
 use culinaria_core::pairing::OverlapCache;
-use culinaria_core::z_analysis::{region_overlap_cache, try_analyze_cuisine_with_cache_observed};
+use culinaria_core::z_analysis::{region_overlap_cache, try_analyze_cuisine_with_cache};
 use culinaria_core::{
-    recipe_pairing_score_view, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
+    try_recipe_pairing_score, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
 };
 use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::{Counter, Gauge, Histogram, Metrics};
@@ -621,7 +621,7 @@ impl<'a> Server<'a> {
         let via_shard = region
             .and_then(|r| self.shard(ep, r).ok().flatten())
             .and_then(|shard| shard.overlap.score_ids(ids));
-        match via_shard.or_else(|| recipe_pairing_score_view(ep.flavor, ids)) {
+        match via_shard.or_else(|| try_recipe_pairing_score(ep.flavor, ids)) {
             Some(score) => format!("OK {}", pair_body(score)),
             None => Self::err("bad-ids", "unknown ingredient id in set"),
         }
@@ -640,9 +640,9 @@ impl<'a> Server<'a> {
             seed: self.cfg.seed,
             n_threads: 1,
         };
-        match try_analyze_cuisine_with_cache_observed(
+        match try_analyze_cuisine_with_cache(
             ep.flavor,
-            &cuisine,
+            cuisine,
             &shard.overlap,
             &NullModel::ALL,
             &cfg,
@@ -725,7 +725,7 @@ impl<'a> Server<'a> {
         // Resolved ids come from the live database, so the score exists
         // by construction — but a mismatched view must degrade to an
         // error reply, not take the connection thread down.
-        let Some(score) = recipe_pairing_score_view(ep.flavor, &ids) else {
+        let Some(score) = try_recipe_pairing_score(ep.flavor, &ids) else {
             return Self::err("score-unavailable", "resolved ids missing from flavor data");
         };
         let vs = self
@@ -748,7 +748,7 @@ impl<'a> Server<'a> {
     fn shard_mean(ep: &Epoch<'a>, shard: &RegionShard) -> Option<f64> {
         *shard.mean.get_or_init(|| {
             let cuisine = ep.recipes.cuisine(shard.region);
-            shard.overlap.mean_cuisine_score_view(&cuisine)
+            shard.overlap.mean_cuisine_score(cuisine)
         })
     }
 

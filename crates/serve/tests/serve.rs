@@ -291,7 +291,7 @@ fn zprof_matches_offline_analyze_cuisine_bitwise() {
     let served = server.handle(9, &Request::ZProf { region });
     let offline = analyze_cuisine(
         &world.flavor,
-        &world.recipes.cuisine(region),
+        world.recipes.cuisine(region),
         &NullModel::ALL,
         &MonteCarloConfig {
             n_recipes: 400,
@@ -382,7 +382,7 @@ fn score_matches_offline_import_and_score() {
     assert!(ids.len() >= 2, "names must resolve against their own db");
     let score = recipe_pairing_score(&world.flavor, &ids);
     let mean = OverlapCache::for_cuisine(&world.flavor, &world.recipes.cuisine(region))
-        .mean_cuisine_score_view(&cuisine)
+        .mean_cuisine_score(cuisine)
         .expect("cuisine scores");
     let expected = format!(
         "5 OK {} vs={}",

@@ -21,24 +21,24 @@
 //!
 //! # Failure model
 //!
-//! [`try_run`] is the fallible entry point: tasks return
-//! `Result<T, E>`, task bodies are wrapped in `catch_unwind`, and the
-//! first failure — error *or* panic — poisons the claim cursor so no
-//! new work starts. Tasks already in flight run to completion, every
-//! failure among claimed tasks is recorded, and the **lowest task
-//! index** wins, so the reported [`TaskFailure`] is identical for any
-//! thread count (the same determinism contract the success path has).
-//! Result slots written before the failure are dropped correctly; no
-//! task result leaks. [`run`] delegates to [`try_run`] with infallible
-//! tasks, signatures untouched.
+//! [`try_run`] is the one implementation: tasks return `Result<T, E>`,
+//! task bodies are wrapped in `catch_unwind`, and the first failure —
+//! error *or* panic — poisons the claim cursor so no new work starts.
+//! Tasks already in flight run to completion, every failure among
+//! claimed tasks is recorded, and the **lowest task index** wins, so
+//! the reported [`TaskFailure`] is identical for any thread count (the
+//! same determinism contract the success path has). Result slots
+//! written before the failure are dropped correctly; no task result
+//! leaks. [`run`] is the infallible convenience over it: no telemetry,
+//! and a panicking task re-panics the caller.
 //!
 //! # Observability
 //!
-//! [`run_observed`] is [`run`] plus pool telemetry through a
-//! [`PoolObs`] handle (queue depth, per-worker claimed-task counts and
-//! busy time). Instrumentation never influences scheduling or results,
-//! and a disabled handle reduces every probe to one branch — [`run`]
-//! itself delegates to [`run_observed`] with a disabled handle.
+//! [`try_run`] records pool telemetry through a [`PoolObs`] handle
+//! (queue depth, per-worker claimed-task counts and busy time).
+//! Instrumentation never influences scheduling or results, and a
+//! disabled handle ([`PoolObs::disabled`]) reduces every probe to one
+//! branch.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -239,41 +239,22 @@ impl PoolObs {
 /// always capped by `n_tasks`. With one effective thread the queue runs
 /// inline with no thread machinery at all.
 ///
-/// Delegates to [`try_run`] with infallible tasks: a panicking task
-/// still panics the caller (with the original message), after cleanly
-/// dropping every already-computed result.
+/// The infallible convenience over [`try_run`], with telemetry off: a
+/// panicking task still panics the caller (with the original message),
+/// after cleanly dropping every already-computed result.
 pub fn run<S, T, Init, Task>(n_threads: usize, n_tasks: usize, init: Init, task: Task) -> Vec<T>
 where
     T: Send,
     Init: Fn() -> S + Sync,
     Task: Fn(&mut S, usize) -> T + Sync,
 {
-    run_observed(n_threads, n_tasks, &PoolObs::disabled(), init, task)
-}
-
-/// [`run`] with pool telemetry: queue depth and worker count are set at
-/// entry, and each worker records its claimed-task count and busy time
-/// when its claim loop drains. The task results are identical to
-/// [`run`]'s — telemetry observes the schedule, it never alters it.
-///
-/// Note the per-worker numbers describe *this run's actual schedule*,
-/// which legitimately varies with thread count and OS timing; only the
-/// task results carry the bit-identity contract.
-pub fn run_observed<S, T, Init, Task>(
-    n_threads: usize,
-    n_tasks: usize,
-    obs: &PoolObs,
-    init: Init,
-    task: Task,
-) -> Vec<T>
-where
-    T: Send,
-    Init: Fn() -> S + Sync,
-    Task: Fn(&mut S, usize) -> T + Sync,
-{
-    let result = try_run_observed(n_threads, n_tasks, obs, init, |state, i| {
-        Ok::<T, Infallible>(task(state, i))
-    });
+    let result = try_run(
+        n_threads,
+        n_tasks,
+        &PoolObs::disabled(),
+        init,
+        |state, i| Ok::<T, Infallible>(task(state, i)),
+    );
     match result {
         Ok(out) => out,
         Err(failure) => match failure.kind {
@@ -285,31 +266,23 @@ where
     }
 }
 
-/// Fallible [`run`]: tasks return `Result<T, E>`, and the pool returns
-/// either every result in task order or the **lowest-index**
-/// [`TaskFailure`] (error or panic), identical for any thread count.
+/// Fallible, observed [`run`]: tasks return `Result<T, E>`, and the
+/// pool returns either every result in task order or the
+/// **lowest-index** [`TaskFailure`] (error or panic), identical for any
+/// thread count.
 ///
 /// On failure no new tasks are claimed (the cursor is poisoned),
 /// in-flight tasks finish, and every already-written result slot is
 /// dropped — nothing leaks, nothing aborts.
+///
+/// Telemetry goes through `obs`: queue depth and worker count are set
+/// at entry, each worker records its claimed-task count and busy time
+/// when its claim loop drains, and a run that returns a failure bumps
+/// `pool.failures`. Telemetry observes the schedule, it never alters
+/// it. The per-worker numbers describe *this run's actual schedule*,
+/// which legitimately varies with thread count and OS timing; only the
+/// task results carry the bit-identity contract.
 pub fn try_run<S, T, E, Init, Task>(
-    n_threads: usize,
-    n_tasks: usize,
-    init: Init,
-    task: Task,
-) -> Result<Vec<T>, TaskFailure<E>>
-where
-    T: Send,
-    E: Send,
-    Init: Fn() -> S + Sync,
-    Task: Fn(&mut S, usize) -> Result<T, E> + Sync,
-{
-    try_run_observed(n_threads, n_tasks, &PoolObs::disabled(), init, task)
-}
-
-/// [`try_run`] with pool telemetry (see [`run_observed`]); a run that
-/// returns a failure additionally bumps the `pool.failures` counter.
-pub fn try_run_observed<S, T, E, Init, Task>(
     n_threads: usize,
     n_tasks: usize,
     obs: &PoolObs,
@@ -520,24 +493,37 @@ mod tests {
         assert!(effective_threads(0) >= 1);
     }
 
+    /// `try_run` over an infallible task, with telemetry through `obs`.
+    fn squares(threads: usize, n: usize, obs: &PoolObs) -> Vec<usize> {
+        try_run(
+            threads,
+            n,
+            obs,
+            || (),
+            |_, i| Ok::<usize, Infallible>(i * 3),
+        )
+        .expect("infallible")
+    }
+
     #[test]
-    fn observed_run_matches_plain_run() {
+    fn enabled_telemetry_matches_disabled_run() {
         let metrics = Metrics::enabled();
         let obs = PoolObs::new(&metrics);
+        assert!(obs.is_enabled());
+        assert!(!PoolObs::disabled().is_enabled());
         for threads in [1, 2, 8] {
-            let observed = run_observed(threads, 50, &obs, || (), |_, i| i * 3);
-            let plain = run(threads, 50, || (), |_, i| i * 3);
+            let observed = squares(threads, 50, &obs);
+            let plain = squares(threads, 50, &PoolObs::disabled());
             assert_eq!(observed, plain, "threads = {threads}");
         }
     }
 
     #[test]
-    fn observed_run_records_pool_metrics() {
+    fn enabled_run_records_pool_metrics() {
         let metrics = Metrics::enabled();
         let obs = PoolObs::new(&metrics);
-        assert!(obs.is_enabled());
-        run_observed(4, 32, &obs, || (), |_, i| i);
-        run_observed(1, 5, &obs, || (), |_, i| i);
+        squares(4, 32, &obs);
+        squares(1, 5, &obs);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("pool.runs"), Some(2));
         assert_eq!(snap.counter("pool.tasks"), Some(37));
@@ -554,18 +540,16 @@ mod tests {
     }
 
     #[test]
-    fn disabled_obs_records_nothing() {
-        let obs = PoolObs::disabled();
-        assert!(!obs.is_enabled());
-        let out = run_observed(3, 20, &obs, || (), |_, i| i + 1);
-        assert_eq!(out.len(), 20);
-    }
-
-    #[test]
     fn try_run_success_matches_run_across_thread_counts() {
         for threads in [1, 2, 8] {
-            let fallible = try_run(threads, 80, || (), |_, i| Ok::<usize, String>(i * 7))
-                .expect("no task fails");
+            let fallible = try_run(
+                threads,
+                80,
+                &PoolObs::disabled(),
+                || (),
+                |_, i| Ok::<usize, String>(i * 7),
+            )
+            .expect("no task fails");
             let plain = run(threads, 80, || (), |_, i| i * 7);
             assert_eq!(fallible, plain, "threads = {threads}");
         }
@@ -577,6 +561,7 @@ mod tests {
             let err = try_run(
                 threads,
                 60,
+                &PoolObs::disabled(),
                 || (),
                 |_, i| {
                     if i == 23 {
@@ -605,6 +590,7 @@ mod tests {
             let err = try_run(
                 threads,
                 60,
+                &PoolObs::disabled(),
                 || (),
                 |_, i| {
                     if i == 17 {
@@ -634,6 +620,7 @@ mod tests {
             let err = try_run(
                 threads,
                 50,
+                &PoolObs::disabled(),
                 || (),
                 |_, i| match i {
                     11 | 43 => Err(format!("err {i}")),
@@ -671,6 +658,7 @@ mod tests {
                 let result = try_run(
                     threads,
                     64,
+                    &PoolObs::disabled(),
                     || (),
                     |_, i| {
                         if i == fail_at {
@@ -705,6 +693,7 @@ mod tests {
         let err = try_run(
             1,
             100,
+            &PoolObs::disabled(),
             || (),
             |_, i| {
                 touched.fetch_add(1, Ordering::SeqCst);
@@ -725,6 +714,7 @@ mod tests {
         let err = try_run(
             4,
             10_000,
+            &PoolObs::disabled(),
             || (),
             |_, i| {
                 touched.fetch_add(1, Ordering::SeqCst);
@@ -745,12 +735,12 @@ mod tests {
     }
 
     #[test]
-    fn try_run_observed_counts_failures() {
+    fn try_run_counts_failures() {
         let metrics = Metrics::enabled();
         let obs = PoolObs::new(&metrics);
-        let ok = try_run_observed(2, 10, &obs, || (), |_, i| Ok::<usize, String>(i));
+        let ok = try_run(2, 10, &obs, || (), |_, i| Ok::<usize, String>(i));
         assert!(ok.is_ok());
-        let err = try_run_observed(
+        let err = try_run(
             2,
             10,
             &obs,

@@ -164,7 +164,7 @@ mod pool_failures {
 
     use proptest::prelude::*;
 
-    use culinaria_stats::pool::{try_run, FailureKind, TaskFailure};
+    use culinaria_stats::pool::{try_run, FailureKind, PoolObs, TaskFailure};
 
     /// Silence the intentional "injected" panics raised inside worker
     /// threads; everything else still reaches the default hook.
@@ -211,6 +211,7 @@ mod pool_failures {
                 let result = try_run(
                     threads,
                     n_tasks,
+                    &PoolObs::disabled(),
                     || (),
                     |_, i| {
                         if fail.contains(&i) {

@@ -71,11 +71,6 @@ impl Column {
         Column::Str(vals.into_iter().map(Some).collect())
     }
 
-    /// Build a non-null boolean column.
-    pub fn from_bools(vals: &[bool]) -> Self {
-        Column::Bool(vals.iter().copied().map(Some).collect())
-    }
-
     /// An empty column of the given type.
     pub fn empty(ty: ColumnType) -> Self {
         match ty {
@@ -108,16 +103,6 @@ impl Column {
             Column::Float(_) => ColumnType::Float,
             Column::Str(_) => ColumnType::Str,
             Column::Bool(_) => ColumnType::Bool,
-        }
-    }
-
-    /// Number of null cells.
-    pub fn null_count(&self) -> usize {
-        match self {
-            Column::Int(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Float(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Str(v) => v.iter().filter(|c| c.is_none()).count(),
-            Column::Bool(v) => v.iter().filter(|c| c.is_none()).count(),
         }
     }
 
@@ -185,14 +170,6 @@ impl Column {
         }
     }
 
-    /// Borrow as `&[Option<String>]`, if this is a string column.
-    pub fn as_str_slice(&self) -> Option<&[Option<String>]> {
-        match self {
-            Column::Str(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Iterate over all cells as dynamic [`Value`]s.
     pub fn iter_values(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(move |i| self.get(i).expect("index in range"))
@@ -214,14 +191,12 @@ mod tests {
         assert_eq!(Column::from_i64s(&[1, 2, 3]).len(), 3);
         assert_eq!(Column::from_f64s(&[1.0]).len(), 1);
         assert_eq!(Column::from_strs(&["a", "b"]).len(), 2);
-        assert_eq!(Column::from_bools(&[true]).len(), 1);
         assert!(Column::empty(ColumnType::Int).is_empty());
     }
 
     #[test]
     fn nan_normalized_to_null() {
         let c = Column::from_f64s(&[1.0, f64::NAN, 2.0]);
-        assert_eq!(c.null_count(), 1);
         assert_eq!(c.get(1), Some(Value::Null));
     }
 
@@ -271,8 +246,6 @@ mod tests {
         assert!(f.as_int_slice().is_none());
         let i = Column::from_i64s(&[1]);
         assert!(i.as_int_slice().is_some());
-        let s = Column::from_strs(&["x"]);
-        assert!(s.as_str_slice().is_some());
     }
 
     #[test]

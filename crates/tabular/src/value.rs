@@ -57,14 +57,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Extract a boolean, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Value {
@@ -124,7 +116,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_float(), Some(7.0));
         assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::str("a").as_str(), Some("a"));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());
         assert_eq!(Value::str("a").as_int(), None);
         assert_eq!(Value::Bool(true).as_float(), None);

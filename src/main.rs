@@ -15,9 +15,9 @@
 //! culinaria suggest  <REGION> [--scale S] [--seed N] [--size N] [--uniform|--contrast]
 //! culinaria serve    (--stdio | --socket PATH) [--data DIR] [--threads N]
 //!                    [--batch N] [--cache-entries N] [--max-queue N]
-//!                    [--mc N] [--seed N] [--once] [--metrics[=json]]
-//!                    [--read-timeout MS] [--write-timeout MS] [--idle-timeout MS]
-//!                    [--max-conns N] [--force-bind]
+//!                    [--mc N] [--seed N] [--metrics[=json]]
+//!                    socket only: [--once] [--read-timeout MS] [--write-timeout MS]
+//!                    [--idle-timeout MS] [--max-conns N] [--force-bind]
 //! culinaria regions
 //! ```
 //!
@@ -35,9 +35,7 @@ use std::process::ExitCode;
 use culinaria::analysis::contribution::top_contributors;
 use culinaria::analysis::generation::{Objective, RecipeGenerator};
 use culinaria::analysis::pairing::OverlapCache;
-use culinaria::analysis::z_analysis::{
-    analyses_to_frame, try_analyze_cuisine_observed, try_analyze_world_observed,
-};
+use culinaria::analysis::z_analysis::{analyses_to_frame, try_analyze_cuisine, try_analyze_world};
 use culinaria::analysis::{FlavorViewRef, RecipesViewRef};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::datagen::{generate_world, World, WorldConfig};
@@ -575,7 +573,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let mc = mc_config(args, 20_000)?;
             let sink = args.metrics()?;
             let world = build_world(&cfg);
-            let analyses = match try_analyze_world_observed(
+            let analyses = match try_analyze_world(
                 &world.flavor,
                 &world.recipes,
                 &NullModel::ALL,
@@ -727,20 +725,15 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
                 stats.lines_unresolved
             );
             if analyze {
-                let analyses = match try_analyze_world_observed(
-                    &db,
-                    &store,
-                    &NullModel::ALL,
-                    &mc,
-                    &sink.metrics,
-                ) {
-                    Ok(a) => a,
-                    Err(failure) => {
-                        eprintln!("analysis failed: {failure}");
-                        sink.dump();
-                        return Ok(ExitCode::FAILURE);
-                    }
-                };
+                let analyses =
+                    match try_analyze_world(&db, &store, &NullModel::ALL, &mc, &sink.metrics) {
+                        Ok(a) => a,
+                        Err(failure) => {
+                            eprintln!("analysis failed: {failure}");
+                            sink.dump();
+                            return Ok(ExitCode::FAILURE);
+                        }
+                    };
                 println!("{}", analyses_to_frame(&analyses).to_table_string(22));
                 sink.dump();
             }
@@ -753,7 +746,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let sink = args.metrics()?;
             let world = build_world(&cfg);
             let cuisine = world.recipes.cuisine(region);
-            let analysis = match try_analyze_cuisine_observed(
+            let analysis = match try_analyze_cuisine(
                 &world.flavor,
                 &cuisine,
                 &NullModel::ALL,
@@ -801,8 +794,13 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let region = args.region()?;
             let cfg = world_config(args)?;
             let size = args.flag("size", 7usize)?;
-            args.switch("uniform")?; // the default objective
-            let objective = if args.switch("contrast")? {
+            // Uniform is the default objective; asking for both is a
+            // contradiction, not a tie-break.
+            let contrast = args.switch("contrast")?;
+            if args.switch("uniform")? && contrast {
+                return Err("--uniform and --contrast are mutually exclusive".to_owned());
+            }
+            let objective = if contrast {
                 Objective::MinimizeSharing
             } else {
                 Objective::MaximizeSharing
@@ -951,9 +949,22 @@ impl ServeOptions {
             (false, Some(_)) => return Err("--socket: needs a path".to_owned()),
             (false, None) => return Err("pick a transport: --stdio or --socket PATH".to_owned()),
         };
+        let once = args.switch("once")?;
         let force_bind = args.switch("force-bind")?;
-        if force_bind && matches!(transport, ServeTransport::Stdio) {
-            return Err("--force-bind only applies to --socket".to_owned());
+        if matches!(transport, ServeTransport::Stdio) {
+            // One stream, never armed with deadlines (see deadline.rs):
+            // every socket-only flag would silently do nothing.
+            let socket_only = [
+                "force-bind",
+                "once",
+                "max-conns",
+                "read-timeout",
+                "write-timeout",
+                "idle-timeout",
+            ];
+            if let Some(flag) = socket_only.iter().find(|f| args.flags.contains_key(**f)) {
+                return Err(format!("--{flag} only applies to --socket"));
+            }
         }
         Ok(ServeOptions {
             data_dir: args
@@ -961,7 +972,7 @@ impl ServeOptions {
                 .unwrap_or_else(|| "culinaria-data".to_owned()),
             transport,
             cfg,
-            once: args.switch("once")?,
+            once,
             force_bind,
             metrics_dump: args.metrics_mode()?,
         })
@@ -1325,6 +1336,19 @@ mod tests {
         );
         reject(&["--socket"], "--socket");
         reject(&[], "--stdio or --socket");
+        // Socket-only flags are refused on stdio, even with valid values.
+        for (flag, value) in [
+            ("--force-bind", None),
+            ("--once", None),
+            ("--max-conns", Some("3")),
+            ("--read-timeout", Some("100")),
+            ("--write-timeout", Some("100")),
+            ("--idle-timeout", Some("100")),
+        ] {
+            let mut raw = vec!["--stdio", flag];
+            raw.extend(value);
+            reject(&raw, &format!("{flag} only applies to --socket"));
+        }
     }
 
     #[test]

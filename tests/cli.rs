@@ -548,10 +548,42 @@ fn every_subcommand_refuses_bad_values_and_unknown_flags() {
         ),
         (&["suggest", "ITA", "--top", "3"], "--top: unknown flag"),
         (
+            &["suggest", "ITA", "--uniform", "--contrast"],
+            "--uniform and --contrast are mutually exclusive",
+        ),
+        (
             &["serve", "--stdio", "--batch", "x"],
             "--batch: cannot parse",
         ),
         (&["serve", "--stdio", "--wal", "w"], "--wal: unknown flag"),
+        (
+            &[
+                "serve",
+                "--stdio",
+                "--once",
+                "--max-conns",
+                "3",
+                "--data",
+                "d",
+            ],
+            "--once only applies to --socket",
+        ),
+        (
+            &["serve", "--stdio", "--max-conns", "3"],
+            "--max-conns only applies to --socket",
+        ),
+        (
+            &["serve", "--stdio", "--read-timeout", "100"],
+            "--read-timeout only applies to --socket",
+        ),
+        (
+            &["serve", "--stdio", "--write-timeout", "100"],
+            "--write-timeout only applies to --socket",
+        ),
+        (
+            &["serve", "--stdio", "--idle-timeout", "100"],
+            "--idle-timeout only applies to --socket",
+        ),
     ];
     for &(args, needle) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_culinaria"))

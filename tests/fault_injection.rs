@@ -8,8 +8,8 @@
 //!
 //! 1. **Determinism**: an injected fault yields the same structured
 //!    error (lowest failing index wins) for 1, 2 and 8 worker threads.
-//! 2. **Transparency**: with an empty fault plan every `try_*` path is
-//!    bit-identical to its infallible sibling.
+//! 2. **Transparency**: with an empty fault plan every fallible entry
+//!    point succeeds, bit-identical to its infallible convenience.
 //!
 //! `fault::with_plan` serializes plan installation behind a global
 //! lock, so these tests are safe under the default parallel test
@@ -17,9 +17,7 @@
 
 #![cfg(feature = "fault-injection")]
 
-use culinaria::analysis::monte_carlo::{
-    run_null_model, try_run_null_model, try_run_null_model_observed,
-};
+use culinaria::analysis::monte_carlo::{run_null_model, try_run_null_model};
 use culinaria::analysis::network::FlavorNetwork;
 use culinaria::analysis::ntuple::{ktuple_null_ensemble, try_ktuple_null_ensemble, KTupleScorer};
 use culinaria::analysis::null_models::CuisineSampler;
@@ -47,6 +45,11 @@ fn mc_cfg(n_threads: usize) -> MonteCarloConfig {
     }
 }
 
+/// Telemetry off: the metrics handle the fault assertions run with.
+fn off() -> Metrics {
+    Metrics::disabled()
+}
+
 fn plan(stage: &str, index: usize, kind: FaultKind) -> FaultPlan {
     FaultPlan::new().fail(stage, index, kind)
 }
@@ -69,7 +72,7 @@ fn empty_plan_leaves_every_stage_bit_identical() {
         // An empty plan keeps the probe fast path inactive.
         assert!(!fault::active());
         let plain_cache = OverlapCache::build(&world.flavor, &pool);
-        let try_cache = OverlapCache::try_build(&world.flavor, &pool).unwrap();
+        let try_cache = OverlapCache::try_build(&world.flavor, &pool, 0, &off()).unwrap();
         assert_eq!(plain_cache.len(), try_cache.len());
         for i in 0..plain_cache.len() as u32 {
             for j in 0..plain_cache.len() as u32 {
@@ -78,11 +81,12 @@ fn empty_plan_leaves_every_stage_bit_identical() {
         }
 
         let plain_net = FlavorNetwork::build(&world.flavor, &pool);
-        let try_net = FlavorNetwork::try_build(&world.flavor, &pool).unwrap();
+        let try_net = FlavorNetwork::try_build(&world.flavor, &pool, 0, &off()).unwrap();
         assert_eq!(plain_net.n_edges(), try_net.n_edges());
 
         let plain = analyze_world(&world.flavor, &world.recipes, &models, &mc_cfg(2));
-        let tried = try_analyze_world(&world.flavor, &world.recipes, &models, &mc_cfg(2)).unwrap();
+        let tried =
+            try_analyze_world(&world.flavor, &world.recipes, &models, &mc_cfg(2), &off()).unwrap();
         assert_eq!(plain.len(), tried.len());
         for (a, b) in plain.iter().zip(&tried) {
             assert_eq!(a.region, b.region);
@@ -101,7 +105,7 @@ fn overlap_pack_error_is_deterministic() {
     assert!(pool.len() > 2);
     for threads in THREAD_COUNTS {
         let failure = fault::with_plan(plan("overlap.pack", 1, FaultKind::Error), || {
-            OverlapCache::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+            OverlapCache::try_build(&world.flavor, &pool, threads, &off()).unwrap_err()
         });
         assert_eq!(
             failure,
@@ -120,7 +124,7 @@ fn overlap_tile_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("overlap.tile", 3, kind), || {
-                OverlapCache::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+                OverlapCache::try_build(&world.flavor, &pool, threads, &off()).unwrap_err()
             });
             assert_eq!(failure.stage, "overlap.tile");
             assert_eq!(failure.index, 3);
@@ -144,7 +148,7 @@ fn lowest_failing_index_wins_in_the_pool_stage() {
         .fail("overlap.tile", 9, FaultKind::Error);
     for threads in THREAD_COUNTS {
         let failure = fault::with_plan(mixed.clone(), || {
-            OverlapCache::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+            OverlapCache::try_build(&world.flavor, &pool, threads, &off()).unwrap_err()
         });
         assert_eq!(
             failure,
@@ -164,8 +168,14 @@ fn mc_block_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("mc.block", 2, kind), || {
-                try_run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(threads))
-                    .unwrap_err()
+                try_run_null_model(
+                    &cache,
+                    &sampler,
+                    NullModel::Random,
+                    &mc_cfg(threads),
+                    &off(),
+                )
+                .unwrap_err()
             });
             assert_eq!(failure.stage, "mc.block");
             assert_eq!(failure.index, 2);
@@ -190,7 +200,8 @@ fn ktuple_block_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("mc.ktuple.block", 1, kind), || {
-                try_ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &mc_cfg(threads))
+                let cfg = mc_cfg(threads);
+                try_ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &cfg, &off())
                     .unwrap_err()
             });
             assert_eq!(failure.stage, "mc.ktuple.block");
@@ -200,7 +211,7 @@ fn ktuple_block_faults_are_deterministic_across_threads() {
     }
     // Transparent when no fault matches the stage.
     let clean = fault::with_plan(plan("unrelated.stage", 0, FaultKind::Error), || {
-        try_ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &mc_cfg(2)).unwrap()
+        try_ktuple_null_ensemble(&scorer, &sampler, NullModel::Random, &mc_cfg(2), &off()).unwrap()
     });
     assert_eq!(
         clean,
@@ -216,7 +227,7 @@ fn network_row_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("network.row", 2, kind), || {
-                FlavorNetwork::try_build_with_threads(&world.flavor, &pool, threads).unwrap_err()
+                FlavorNetwork::try_build(&world.flavor, &pool, threads, &off()).unwrap_err()
             });
             assert_eq!(failure.stage, "network.row");
             assert_eq!(failure.index, 2);
@@ -233,8 +244,14 @@ fn world_block_faults_are_deterministic_across_threads() {
     for kind in [FaultKind::Error, FaultKind::Panic] {
         for threads in THREAD_COUNTS {
             let failure = fault::with_plan(plan("world.block", 0, kind), || {
-                try_analyze_world(&world.flavor, &world.recipes, &models, &mc_cfg(threads))
-                    .unwrap_err()
+                try_analyze_world(
+                    &world.flavor,
+                    &world.recipes,
+                    &models,
+                    &mc_cfg(threads),
+                    &off(),
+                )
+                .unwrap_err()
             });
             assert_eq!(failure.stage, "world.block");
             assert_eq!(failure.index, 0);
@@ -248,7 +265,8 @@ fn cuisine_analysis_propagates_nested_stage_failures() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
     let failure = fault::with_plan(plan("overlap.tile", 1, FaultKind::Error), || {
-        try_analyze_cuisine(&world.flavor, &cuisine, &[NullModel::Random], &mc_cfg(2)).unwrap_err()
+        let models = [NullModel::Random];
+        try_analyze_cuisine(&world.flavor, &cuisine, &models, &mc_cfg(2), &off()).unwrap_err()
     });
     assert_eq!(failure.stage, "overlap.tile");
     assert_eq!(failure.index, 1);
@@ -262,9 +280,8 @@ fn engine_failures_bump_error_counters() {
     let cache = OverlapCache::build(&world.flavor, &cuisine.ingredient_set());
     let metrics = Metrics::enabled();
     fault::with_plan(plan("mc.block", 0, FaultKind::Error), || {
-        let failure =
-            try_run_null_model_observed(&cache, &sampler, NullModel::Random, &mc_cfg(2), &metrics)
-                .unwrap_err();
+        let failure = try_run_null_model(&cache, &sampler, NullModel::Random, &mc_cfg(2), &metrics)
+            .unwrap_err();
         assert_eq!(failure.stage, "mc.block");
     });
     let snap = metrics.snapshot();
@@ -407,7 +424,7 @@ fn seeded_plans_are_reproducible() {
     let pool: Vec<_> = world.flavor.ingredient_ids().collect();
     let run = || {
         fault::with_plan(FaultPlan::seeded(42, &["overlap.tile"], 4, 2), || {
-            OverlapCache::try_build_with_threads(&world.flavor, &pool, 4).map(|cache| cache.len())
+            OverlapCache::try_build(&world.flavor, &pool, 4, &off()).map(|cache| cache.len())
         })
     };
     assert_eq!(run(), run());

@@ -10,10 +10,7 @@
 use proptest::prelude::*;
 
 use culinaria::analysis::pairing::mean_cuisine_score;
-use culinaria::analysis::z_analysis::analyze_world_view;
-use culinaria::analysis::{
-    analyze_world, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
-};
+use culinaria::analysis::{analyze_world, MonteCarloConfig, NullModel};
 use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::flavordb::{
     artifact as flavor_artifact, AlignedBytes, ArtifactError, FlavorArtifactBuilder,
@@ -207,12 +204,7 @@ fn borrowed_world_analysis_is_bit_identical_across_thread_counts() {
             n_threads: threads,
         };
         let owned = analyze_world(&world.flavor, &world.recipes, &NullModel::ALL, &cfg);
-        let borrowed = analyze_world_view(
-            FlavorViewRef::Artifact(&fview),
-            RecipesViewRef::Artifact(&rview),
-            &NullModel::ALL,
-            &cfg,
-        );
+        let borrowed = analyze_world(&fview, &rview, &NullModel::ALL, &cfg);
         let digest: Vec<(String, u64, Vec<u64>)> = owned
             .iter()
             .map(|row| {
