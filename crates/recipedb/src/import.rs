@@ -54,6 +54,7 @@ use crate::error::{RecipeDbError, Result};
 use crate::recipe::{RecipeId, Source};
 use crate::region::Region;
 use crate::store::RecipeStore;
+use crate::wal::{fnv1a64_extend, FNV_OFFSET};
 
 /// A raw scraped recipe before aliasing.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,11 +243,21 @@ struct ResolvedRecipe {
     memo_misses: u64,
 }
 
+/// Revision of the per-recipe import rules folded into
+/// [`Importer::fingerprint`]. Bump it only for an intentional change to
+/// import outcomes (resolver behaviour, failure rules): every log
+/// stamped under the old revision is then re-verified on its next
+/// `ingest` instead of being trusted.
+pub const IMPORT_REVISION: u32 = 1;
+
 /// The importer: owns an [`AliasResolver`] primed from a [`FlavorDb`]'s
-/// canonical names and synonyms.
+/// canonical names and synonyms. The lexicon is fixed at construction,
+/// which is what keeps [`Importer::fingerprint`] honest.
 #[derive(Debug, Clone)]
 pub struct Importer {
     resolver: AliasResolver,
+    /// FNV-1a 64 over the lexicon entries in registration order.
+    lexicon_hash: u64,
     unresolved_threshold: f64,
 }
 
@@ -255,18 +266,54 @@ impl Importer {
     /// ingredient names plus its synonym table.
     pub fn from_flavor_db(db: &FlavorDb) -> Importer {
         let mut resolver = AliasResolver::new();
+        let mut lexicon_hash = FNV_OFFSET;
+        // Length-prefixed fields under a kind tag, so no two different
+        // lexicons hash the same byte stream.
+        let mut hash_entry = |tag: u8, fields: &[&str]| {
+            lexicon_hash = fnv1a64_extend(lexicon_hash, &[tag]);
+            for field in fields {
+                lexicon_hash = fnv1a64_extend(lexicon_hash, &(field.len() as u64).to_le_bytes());
+                lexicon_hash = fnv1a64_extend(lexicon_hash, field.as_bytes());
+            }
+        };
         for ing in db.ingredients() {
             resolver.add_canonical(&ing.name);
+            hash_entry(b'c', &[&ing.name]);
         }
-        for (syn, id) in db.synonyms() {
+        // The synonym table is a hash map: register in synonym order so
+        // the lexicon, and its hash, do not depend on the map's seed.
+        let mut synonyms: Vec<(&str, IngredientId)> = db.synonyms().collect();
+        synonyms.sort_unstable();
+        for (syn, id) in synonyms {
             if let Ok(target) = db.ingredient(id) {
                 resolver.add_synonym(syn, &target.name);
+                hash_entry(b's', &[syn, &target.name]);
             }
         }
         Importer {
             resolver,
+            lexicon_hash,
             unresolved_threshold: 1.0,
         }
+    }
+
+    /// A 64-bit identity of this importer's per-recipe outcomes: FNV-1a
+    /// 64 over the lexicon [`Importer::from_flavor_db`] built (canonical
+    /// names, then synonym → target pairs, in registration order), the
+    /// unresolved threshold's bits, and [`IMPORT_REVISION`]. The
+    /// resolver code itself is pinned by the `culinaria_text::legacy`
+    /// parity suite.
+    ///
+    /// Two importers with equal fingerprints store and tombstone the
+    /// same recipes with the same reasons, so a segmented log stamped
+    /// with this value can be extended without re-resolving its history
+    /// (see [`SegmentedLog::ingest`](crate::segment::SegmentedLog::ingest)).
+    pub fn fingerprint(&self) -> u64 {
+        let h = fnv1a64_extend(
+            self.lexicon_hash,
+            &self.unresolved_threshold.to_bits().to_le_bytes(),
+        );
+        fnv1a64_extend(h, &IMPORT_REVISION.to_le_bytes())
     }
 
     /// Set the maximum tolerated unresolved-line fraction. A recipe
@@ -283,11 +330,6 @@ impl Importer {
     /// (see [`Importer::with_unresolved_threshold`]).
     pub fn unresolved_threshold(&self) -> f64 {
         self.unresolved_threshold
-    }
-
-    /// Access the underlying resolver (e.g. to register ad-hoc aliases).
-    pub fn resolver_mut(&mut self) -> &mut AliasResolver {
-        &mut self.resolver
     }
 
     /// Resolve one ingredient line to flavor-database ids.
@@ -969,6 +1011,18 @@ mod tests {
         let rendered = stats.failures[1].to_string();
         assert!(rendered.contains("recipe 2"), "{rendered}");
         assert!(rendered.contains("mystery"), "{rendered}");
+    }
+
+    #[test]
+    fn fingerprint_tracks_lexicon_and_threshold() {
+        let db = curated_db();
+        let base = Importer::from_flavor_db(&db).fingerprint();
+        assert_eq!(Importer::from_flavor_db(&db).fingerprint(), base);
+        let strict = Importer::from_flavor_db(&db).with_unresolved_threshold(0.5);
+        assert_ne!(strict.fingerprint(), base);
+        let mut grown = curated_db();
+        grown.add_synonym("pomodoro", "tomato").unwrap();
+        assert_ne!(Importer::from_flavor_db(&grown).fingerprint(), base);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //!   deterministic replay (streaming ingestion);
 //! * [`segment`] — the durable on-disk form of the log: size-rotated
 //!   CWAL1 segment files with an atomically-renamed manifest,
-//!   configurable fsync policy, and torn-tail recovery.
+//!   configurable fsync policy, torn-tail recovery, and the importer
+//!   stamp that lets `ingest` append without re-resolving history.
 
 pub mod artifact;
 pub mod cuisine;
@@ -43,6 +44,6 @@ pub use error::{RecipeDbError, Result};
 pub use import::{ImportFailureReason, ImportStats, Importer, RawRecipe, RecipeFailure};
 pub use recipe::{Recipe, RecipeId, Source};
 pub use region::Region;
-pub use segment::{FsyncPolicy, RecoveryReport, SegmentedLog};
+pub use segment::{FsyncPolicy, IngestError, RecoveryReport, SegmentedLog};
 pub use store::RecipeStore;
 pub use wal::{IngestLog, WalRecord};

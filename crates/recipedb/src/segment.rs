@@ -15,9 +15,11 @@
 //! # Directory grammar
 //!
 //! ```text
-//! dir/MANIFEST            first line "CWALM1", then one segment file
-//!                         name per line, oldest first; the last listed
-//!                         segment is the open (append) segment
+//! dir/MANIFEST            first line "CWALM1", then an optional
+//!                         "importer <16 hex digits>" stamp line, then
+//!                         one segment file name per line, oldest
+//!                         first; the last listed segment is the open
+//!                         (append) segment
 //! dir/seg-NNNNNN.cwal     a complete CWAL1 image (16-byte header +
 //!                         records), NNNNNN a monotonically increasing
 //!                         decimal index
@@ -35,6 +37,20 @@
 //! Replay goes through the same code path as [`crate::wal::IngestLog`],
 //! so the replay-≡-batch determinism contract (bit-identical store and
 //! stats at every thread count) carries over unchanged.
+//!
+//! # Importer stamp
+//!
+//! The stamp is the [`Importer::fingerprint`] whose outcomes every
+//! record holds: which recipes were stored, which were tombstoned and
+//! why. [`SegmentedLog::ingest`] appends a batch without re-resolving
+//! history when the stamp matches its importer. Per-recipe outcomes
+//! never depend on the store, so the batch's outcomes are the ones a
+//! replay of the grown log would compute. A missing stamp (a log from
+//! before stamps, or one written through the raw appends) or a
+//! different one makes `ingest` replay the whole log as a drift check
+//! first, and restamp only if that passes. Rotation and compaction
+//! carry the stamp forward; the raw appends drop it, since nothing
+//! checks their outcomes.
 
 // User-reachable durability surface: panicking on bad data or I/O
 // weather is forbidden here — return errors instead.
@@ -47,9 +63,10 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use culinaria_flavordb::FlavorDb;
+use culinaria_obs::Metrics;
 use culinaria_stats::fault;
 
-use crate::error::Result;
+use crate::error::{RecipeDbError, Result};
 use crate::import::{ImportStats, Importer, RawRecipe};
 use crate::store::RecipeStore;
 use crate::wal::{
@@ -61,6 +78,8 @@ use crate::wal::{
 pub const MANIFEST: &str = "MANIFEST";
 /// First line of a valid manifest.
 pub const MANIFEST_MAGIC: &str = "CWALM1";
+/// Prefix of the optional manifest line holding the importer stamp.
+const STAMP_PREFIX: &str = "importer ";
 
 /// When the open segment is fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,6 +148,36 @@ impl RecoveryReport {
     }
 }
 
+/// Why [`SegmentedLog::ingest`] did not complete.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IngestError {
+    /// The log's history does not replay under this importer (drift,
+    /// or a worker panic while checking). Nothing was written.
+    Refused(RecipeDbError),
+    /// Importing, appending or syncing the batch failed. The directory
+    /// still holds a valid prefix of the intended log.
+    Failed(RecipeDbError),
+}
+
+impl std::fmt::Display for IngestError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IngestError::Refused(e) => write!(f, "cannot replay existing wal: {e}"),
+            IngestError::Failed(e) => write!(f, "ingest failed: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for IngestError {}
+
+/// What [`SegmentedLog::open_with`] does when the manifest is missing.
+enum IfMissing {
+    /// Initialize a fresh log, stamped with the fingerprint if given.
+    Create(Option<u64>),
+    /// Touch nothing and report that there is no log.
+    Refuse,
+}
+
 /// The durable, size-rotated CWAL1 writer. See the module docs for the
 /// on-disk grammar and crash-consistency argument.
 #[derive(Debug)]
@@ -137,6 +186,8 @@ pub struct SegmentedLog {
     policy: FsyncPolicy,
     segment_bytes: u64,
     segment_names: Vec<String>,
+    /// The importer stamp the manifest carries, if any.
+    stamp: Option<u64>,
     next_index: u64,
     open: File,
     open_len: u64,
@@ -167,10 +218,13 @@ fn sync_dir(dir: &Path) -> Result<()> {
         .map_err(|e| iow(format!("fsync dir {}", dir.display()), e))
 }
 
-fn write_manifest(dir: &Path, names: &[String]) -> Result<()> {
+fn write_manifest(dir: &Path, names: &[String], stamp: Option<u64>) -> Result<()> {
     let mut text = String::with_capacity(64);
     text.push_str(MANIFEST_MAGIC);
     text.push('\n');
+    if let Some(stamp) = stamp {
+        text.push_str(&format!("{STAMP_PREFIX}{stamp:016x}\n"));
+    }
     for name in names {
         text.push_str(name);
         text.push('\n');
@@ -183,6 +237,40 @@ fn write_manifest(dir: &Path, names: &[String]) -> Result<()> {
     drop(f);
     fs::rename(&tmp, dir.join(MANIFEST)).map_err(|e| iow("rename manifest", e))?;
     sync_dir(dir)
+}
+
+/// Parse a manifest: the optional importer stamp and the segment names.
+fn parse_manifest(text: &str, path: &Path) -> Result<(Option<u64>, Vec<String>)> {
+    let mut lines = text.lines();
+    if lines.next() != Some(MANIFEST_MAGIC) {
+        return Err(wal::err(format!(
+            "bad manifest magic in {}",
+            path.display()
+        )));
+    }
+    let mut lines = lines.filter(|l| !l.trim().is_empty()).peekable();
+    let stamp = match lines.peek().and_then(|l| l.strip_prefix(STAMP_PREFIX)) {
+        None => None,
+        Some(hex) => {
+            let well_formed = hex.len() == 16 && hex.bytes().all(|b| b.is_ascii_hexdigit());
+            let stamp = u64::from_str_radix(hex, 16)
+                .ok()
+                .filter(|_| well_formed)
+                .ok_or_else(|| wal::err(format!("bad importer stamp '{hex}' in manifest")))?;
+            lines.next();
+            Some(stamp)
+        }
+    };
+    let names: Vec<String> = lines.map(str::to_owned).collect();
+    if names.is_empty() {
+        return Err(wal::err("manifest lists no segments"));
+    }
+    for name in &names {
+        if parse_segment_index(name).is_none() {
+            return Err(wal::err(format!("bad segment name '{name}' in manifest")));
+        }
+    }
+    Ok((stamp, names))
 }
 
 impl SegmentedLog {
@@ -200,39 +288,75 @@ impl SegmentedLog {
     /// rotation.
     ///
     /// # Errors
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on I/O
+    /// [`RecipeDbError::Wal`] on I/O
     /// failure, a malformed manifest, or corruption in a *sealed*
     /// segment (those were fully durable when sealed, so damage there
     /// is reported, never silently dropped).
     pub fn open(dir: impl AsRef<Path>, policy: FsyncPolicy, segment_bytes: u64) -> Result<Self> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir).map_err(|e| iow(format!("create dir {}", dir.display()), e))?;
+        Self::open_creating(dir.as_ref(), policy, segment_bytes, None)
+    }
+
+    /// [`SegmentedLog::open`] for ingesting through `importer`: a fresh
+    /// log gets the importer's [`Importer::fingerprint`] in its initial
+    /// manifest, so its first [`SegmentedLog::ingest`] writes nothing
+    /// more than the batch. An existing log opens unchanged.
+    ///
+    /// # Errors
+    /// As [`SegmentedLog::open`].
+    pub fn open_for(
+        dir: impl AsRef<Path>,
+        policy: FsyncPolicy,
+        segment_bytes: u64,
+        importer: &Importer,
+    ) -> Result<Self> {
+        let stamp = Some(importer.fingerprint());
+        Self::open_creating(dir.as_ref(), policy, segment_bytes, stamp)
+    }
+
+    /// Open a log that must already exist: `Ok(None)` when `dir` holds
+    /// no manifest, in which case nothing is created or written.
+    /// Otherwise as [`SegmentedLog::open`] (recovery may still truncate
+    /// a torn tail).
+    ///
+    /// # Errors
+    /// As [`SegmentedLog::open`].
+    pub fn open_existing(
+        dir: impl AsRef<Path>,
+        policy: FsyncPolicy,
+        segment_bytes: u64,
+    ) -> Result<Option<Self>> {
+        Self::open_with(dir.as_ref(), policy, segment_bytes, IfMissing::Refuse)
+    }
+
+    fn open_creating(
+        dir: &Path,
+        policy: FsyncPolicy,
+        segment_bytes: u64,
+        stamp: Option<u64>,
+    ) -> Result<Self> {
+        Self::open_with(dir, policy, segment_bytes, IfMissing::Create(stamp))?
+            .ok_or_else(|| wal::err("open created no log"))
+    }
+
+    fn open_with(
+        dir: &Path,
+        policy: FsyncPolicy,
+        segment_bytes: u64,
+        missing: IfMissing,
+    ) -> Result<Option<Self>> {
+        let dir = dir.to_path_buf();
         let manifest_path = dir.join(MANIFEST);
 
-        let segment_names: Vec<String> = if manifest_path.exists() {
+        let (stamp, segment_names) = if manifest_path.exists() {
             let text = fs::read_to_string(&manifest_path)
                 .map_err(|e| iow(format!("read {}", manifest_path.display()), e))?;
-            let mut lines = text.lines();
-            if lines.next() != Some(MANIFEST_MAGIC) {
-                return Err(wal::err(format!(
-                    "bad manifest magic in {}",
-                    manifest_path.display()
-                )));
-            }
-            let names: Vec<String> = lines
-                .filter(|l| !l.trim().is_empty())
-                .map(str::to_owned)
-                .collect();
-            if names.is_empty() {
-                return Err(wal::err("manifest lists no segments"));
-            }
-            for name in &names {
-                if parse_segment_index(name).is_none() {
-                    return Err(wal::err(format!("bad segment name '{name}' in manifest")));
-                }
-            }
-            names
+            parse_manifest(&text, &manifest_path)?
         } else {
+            let IfMissing::Create(stamp) = missing else {
+                return Ok(None);
+            };
+            fs::create_dir_all(&dir)
+                .map_err(|e| iow(format!("create dir {}", dir.display()), e))?;
             let name = segment_name(1);
             let path = dir.join(&name);
             let mut f =
@@ -241,8 +365,8 @@ impl SegmentedLog {
                 .and_then(|()| f.sync_all())
                 .map_err(|e| iow(format!("init {}", path.display()), e))?;
             let names = vec![name];
-            write_manifest(&dir, &names)?;
-            names
+            write_manifest(&dir, &names, stamp)?;
+            (stamp, names)
         };
 
         let next_index = segment_names
@@ -323,18 +447,19 @@ impl SegmentedLog {
             truncated_bytes,
             orphans,
         };
-        Ok(SegmentedLog {
+        Ok(Some(SegmentedLog {
             dir,
             policy,
             segment_bytes,
             segment_names,
+            stamp,
             next_index,
             open,
             open_len,
             records,
             dirty: false,
             recovery,
-        })
+        }))
     }
 
     /// What [`SegmentedLog::open`] found and repaired.
@@ -377,22 +502,47 @@ impl SegmentedLog {
         &self.segment_names
     }
 
-    /// Append one raw recipe as a stored-recipe record.
+    /// The [`Importer::fingerprint`] the manifest is stamped with, if
+    /// any (see the module docs).
+    pub fn importer_stamp(&self) -> Option<u64> {
+        self.stamp
+    }
+
+    /// Records logged as stored, i.e. not tombstoned: the recipe count
+    /// a replay rebuilds whenever the log verifies.
+    pub fn n_stored(&self) -> usize {
+        self.records.iter().filter(|r| !r.is_tombstone()).count()
+    }
+
+    /// Append one raw recipe as a stored-recipe record. Nothing checks
+    /// that an importer would store it, so this drops the importer
+    /// stamp (one manifest rewrite on a stamped log).
     ///
     /// # Errors
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on encode
+    /// [`RecipeDbError::Wal`] on encode
     /// failure, I/O failure, or an injected `wal.segment.*` fault.
     pub fn append(&mut self, raw: &RawRecipe) -> Result<()> {
-        let payload = encode_raw(raw, None)?;
-        self.push_record(KIND_RECIPE, &payload, WalRecord::Recipe(raw.clone()))
+        self.restamp(None)?;
+        self.push_recipe(raw)
     }
 
     /// Append a raw recipe that failed per-recipe import, with its
-    /// rendered failure reason, as a tombstone record.
+    /// rendered failure reason, as a tombstone record. Drops the
+    /// importer stamp, as [`SegmentedLog::append`] does.
     ///
     /// # Errors
     /// Same as [`SegmentedLog::append`].
     pub fn append_tombstone(&mut self, raw: &RawRecipe, reason: &str) -> Result<()> {
+        self.restamp(None)?;
+        self.push_tombstone(raw, reason)
+    }
+
+    fn push_recipe(&mut self, raw: &RawRecipe) -> Result<()> {
+        let payload = encode_raw(raw, None)?;
+        self.push_record(KIND_RECIPE, &payload, WalRecord::Recipe(raw.clone()))
+    }
+
+    fn push_tombstone(&mut self, raw: &RawRecipe, reason: &str) -> Result<()> {
         let payload = encode_raw(raw, Some(reason))?;
         self.push_record(
             KIND_TOMBSTONE,
@@ -411,7 +561,8 @@ impl SegmentedLog {
     /// batch order (each probed at `wal.segment.append`), so an
     /// append-side failure leaves the directory a valid prefix of the
     /// intended state. Under [`FsyncPolicy::Batch`] the open segment is
-    /// fsynced once after the batch lands.
+    /// fsynced once after the batch lands. History is not checked, so a
+    /// stamp other than `importer`'s is dropped.
     ///
     /// # Errors
     /// Whatever [`Importer::import_batch`] returns, an encode/I/O
@@ -425,6 +576,66 @@ impl SegmentedLog {
         n_threads: usize,
     ) -> Result<ImportStats> {
         let stats = importer.import_batch(db, store, raws, n_threads)?;
+        if self.stamp != Some(importer.fingerprint()) {
+            self.restamp(None)?;
+        }
+        self.push_outcomes(raws, &stats)?;
+        if self.policy == FsyncPolicy::Batch {
+            self.sync()?;
+        }
+        Ok(stats)
+    }
+
+    /// The whole `ingest` flow: check the log against `importer`,
+    /// import `raws` through it, append every outcome, and sync.
+    ///
+    /// When the importer stamp equals [`Importer::fingerprint`], no
+    /// history is resolved: the call costs O(batch). Otherwise (no
+    /// stamp, or another importer's) the whole log is replayed first
+    /// with the same drift cross-check as [`SegmentedLog::replay`];
+    /// on success the manifest is restamped atomically, on drift the
+    /// call refuses and writes nothing. The batch runs through
+    /// [`Importer::import_batch_observed`] on `metrics`, which also gets
+    /// the `wal.verify` span and the `wal.verify.records` counter
+    /// (0 when the stamp matched). Returns the batch's import
+    /// statistics; history is not counted in them.
+    ///
+    /// # Errors
+    /// [`IngestError::Refused`] when the history does not replay under
+    /// `importer`; [`IngestError::Failed`] on an import, encode, I/O or
+    /// injected `wal.segment.*` failure.
+    pub fn ingest(
+        &mut self,
+        db: &FlavorDb,
+        importer: &Importer,
+        raws: &[RawRecipe],
+        n_threads: usize,
+        metrics: &Metrics,
+    ) -> std::result::Result<ImportStats, IngestError> {
+        let fingerprint = importer.fingerprint();
+        let mut verified = 0;
+        if self.stamp != Some(fingerprint) {
+            let span = metrics.span("wal.verify");
+            let guard = span.enter();
+            replay_records(db, importer, &self.records, n_threads).map_err(IngestError::Refused)?;
+            guard.stop();
+            verified = self.records.len();
+            self.restamp(Some(fingerprint))
+                .map_err(IngestError::Failed)?;
+        }
+        metrics.counter("wal.verify.records").add(verified as u64);
+        let stats = importer
+            .import_batch_observed(db, &mut RecipeStore::new(), raws, n_threads, metrics)
+            .map_err(IngestError::Failed)?;
+        self.push_outcomes(raws, &stats)
+            .and_then(|()| self.sync())
+            .map_err(IngestError::Failed)?;
+        Ok(stats)
+    }
+
+    /// Append each of `raws` as the record its import outcome in
+    /// `stats` calls for: a tombstone with the reason, or a recipe.
+    fn push_outcomes(&mut self, raws: &[RawRecipe], stats: &ImportStats) -> Result<()> {
         let mut reasons: HashMap<usize, String> = stats
             .failures
             .iter()
@@ -432,14 +643,21 @@ impl SegmentedLog {
             .collect();
         for (i, raw) in raws.iter().enumerate() {
             match reasons.remove(&i) {
-                Some(reason) => self.append_tombstone(raw, &reason)?,
-                None => self.append(raw)?,
+                Some(reason) => self.push_tombstone(raw, &reason)?,
+                None => self.push_recipe(raw)?,
             }
         }
-        if self.policy == FsyncPolicy::Batch {
-            self.sync()?;
+        Ok(())
+    }
+
+    /// Commit `stamp` to the manifest (atomically) if it differs from
+    /// the current one.
+    fn restamp(&mut self, stamp: Option<u64>) -> Result<()> {
+        if self.stamp != stamp {
+            write_manifest(&self.dir, &self.segment_names, stamp)?;
+            self.stamp = stamp;
         }
-        Ok(stats)
+        Ok(())
     }
 
     /// Flush and fsync the open segment if it has unsynced appends.
@@ -447,7 +665,7 @@ impl SegmentedLog {
     /// graceful-shutdown hook.
     ///
     /// # Errors
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on I/O failure
+    /// [`RecipeDbError::Wal`] on I/O failure
     /// or an injected `wal.segment.fsync` fault.
     pub fn sync(&mut self) -> Result<()> {
         if !self.dirty {
@@ -465,7 +683,7 @@ impl SegmentedLog {
     /// long rotation histories.
     ///
     /// # Errors
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on encode/I/O
+    /// [`RecipeDbError::Wal`] on encode/I/O
     /// failure or an injected `wal.segment.compact` fault.
     pub fn compact(&mut self) -> Result<()> {
         fault::probe("wal.segment.compact", self.records.len())
@@ -489,7 +707,7 @@ impl SegmentedLog {
             .and_then(|()| f.sync_all())
             .map_err(|e| iow(format!("write compacted segment {name}"), e))?;
         let old = std::mem::replace(&mut self.segment_names, vec![name]);
-        write_manifest(&self.dir, &self.segment_names)?;
+        write_manifest(&self.dir, &self.segment_names, self.stamp)?;
         for stale in old {
             let _ = fs::remove_file(self.dir.join(stale));
         }
@@ -506,7 +724,7 @@ impl SegmentedLog {
     ///
     /// # Errors
     /// Import errors pass through; tombstone drift is reported as
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal).
+    /// [`RecipeDbError::Wal`].
     pub fn replay(
         &self,
         db: &FlavorDb,
@@ -520,7 +738,7 @@ impl SegmentedLog {
     /// [`IngestLog::replay_prefix`](crate::wal::IngestLog::replay_prefix).
     ///
     /// # Errors
-    /// [`RecipeDbError::Wal`](crate::RecipeDbError::Wal) on an
+    /// [`RecipeDbError::Wal`] on an
     /// out-of-range prefix or tombstone drift; import errors pass
     /// through.
     pub fn replay_prefix(
@@ -588,7 +806,7 @@ impl SegmentedLog {
             .and_then(|()| f.sync_all())
             .map_err(|e| iow(format!("init segment {name}"), e))?;
         self.segment_names.push(name);
-        write_manifest(&self.dir, &self.segment_names)?;
+        write_manifest(&self.dir, &self.segment_names, self.stamp)?;
         self.open = f;
         self.open_len = HEADER_LEN as u64;
         Ok(())
@@ -838,6 +1056,45 @@ mod tests {
         )
         .unwrap();
         assert!(SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).is_err());
+        for stamp in ["xyz", "+123456789abcdef", "0123456789abcdef0"] {
+            fs::write(
+                dir.join(MANIFEST),
+                format!("{MANIFEST_MAGIC}\nimporter {stamp}\nseg-000001.cwal\n"),
+            )
+            .unwrap();
+            let e = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap_err();
+            assert!(e.to_string().contains("importer stamp"), "{stamp}: {e}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fresh_logs_carry_the_stamp_and_raw_appends_drop_it() {
+        let dir = temp_dir("stamp");
+        let db = curated_db();
+        let importer = Importer::from_flavor_db(&db);
+        let fingerprint = importer.fingerprint();
+        let log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 0, &importer).unwrap();
+        assert_eq!(log.importer_stamp(), Some(fingerprint));
+        drop(log);
+        let manifest = fs::read_to_string(dir.join(MANIFEST)).unwrap();
+        assert_eq!(
+            manifest,
+            format!("{MANIFEST_MAGIC}\nimporter {fingerprint:016x}\nseg-000001.cwal\n")
+        );
+        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+        assert_eq!(log.importer_stamp(), Some(fingerprint));
+        // A batch through the stamped importer keeps the stamp ...
+        log.append_batch(&db, &importer, &mut RecipeStore::new(), &seeded_raws(), 1)
+            .unwrap();
+        assert_eq!(log.importer_stamp(), Some(fingerprint));
+        // ... a raw append, which nothing checks, drops it.
+        log.append(&raw("unchecked", &["tomato"])).unwrap();
+        assert_eq!(log.importer_stamp(), None);
+        drop(log);
+        let back = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+        assert_eq!(back.importer_stamp(), None);
+        assert_eq!(back.len(), seeded_raws().len() + 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

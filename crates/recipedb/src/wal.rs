@@ -71,7 +71,15 @@ pub(crate) const KIND_TOMBSTONE: u32 = 2;
 /// independent, and strong enough to catch the single-byte flips and
 /// torn tails an append-only file actually suffers.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// The FNV-1a 64 offset basis: the hash of zero bytes.
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continue the FNV-1a 64 hash `h` over `bytes` — the streaming form of
+/// [`fnv1a64`], for hashing a sequence of fields without concatenating.
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -8,7 +8,7 @@
 //! culinaria report   <REGION> [--scale S] [--seed N] [--mc N] [--metrics[=json]]
 //! culinaria import   <FILE> [--threads N] [--metrics[=json]]
 //! culinaria ingest   <FILE> --wal DIR [--threads N]
-//!                    [--fsync always|batch|off] [--segment-bytes N]
+//!                    [--fsync always|batch|off] [--segment-bytes N] [--metrics[=json]]
 //! culinaria replay   --wal DIR [--prefix N] [--threads N]
 //!                    [--analyze [--mc N] [--seed N] [--metrics[=json]]]
 //! culinaria pairings <REGION> [--scale S] [--seed N] [--top K]
@@ -58,7 +58,10 @@ const COMMANDS: &[(&str, &[&str])] = &[
     ("analyze", &["scale", "seed", "mc", "metrics"]),
     ("report", &["scale", "seed", "mc", "metrics"]),
     ("import", &["threads", "metrics"]),
-    ("ingest", &["wal", "threads", "fsync", "segment-bytes"]),
+    (
+        "ingest",
+        &["wal", "threads", "fsync", "segment-bytes", "metrics"],
+    ),
     (
         "replay",
         &[
@@ -343,21 +346,24 @@ fn parse_raw_recipes(text: &str) -> (Vec<RawRecipe>, Vec<ParseIssue>) {
     (raws, issues)
 }
 
-/// `ingest --wal`: the durable segmented log. Open recovers the
-/// directory (torn tails truncated, orphans tolerated), prior records
-/// replay for history, the batch appends under the selected fsync
-/// policy, and the tail is made durable before returning. `None` =
-/// failure (already reported).
+/// `ingest --wal`: open the segmented log (recovering torn tails,
+/// tolerating orphans; a fresh log is stamped with the curated
+/// importer), report what recovery repaired, and hand the batch to
+/// [`SegmentedLog::ingest`]. That call re-resolves history only when
+/// the log's importer stamp is missing or differs, so a call costs
+/// O(batch) on a log this importer wrote. `None` = failure (already
+/// reported).
 fn ingest_into_wal(
     dir: &str,
     policy: FsyncPolicy,
     segment_bytes: u64,
-    db: &FlavorDb,
-    importer: &Importer,
     raws: &[RawRecipe],
     threads: usize,
+    metrics: &Metrics,
 ) -> Option<ImportStats> {
-    let mut log = match SegmentedLog::open(dir, policy, segment_bytes) {
+    let db = culinaria::flavordb::curated::curated_db();
+    let importer = Importer::from_flavor_db(&db);
+    let mut log = match SegmentedLog::open_for(dir, policy, segment_bytes, &importer) {
         Ok(log) => log,
         Err(e) => {
             eprintln!("{dir}: cannot open wal: {e}");
@@ -365,29 +371,14 @@ fn ingest_into_wal(
         }
     };
     report_recovery(dir, &log);
-    let mut store = if log.is_empty() {
-        RecipeStore::new()
-    } else {
-        match log.replay(db, importer, threads) {
-            Ok((store, _)) => store,
-            Err(e) => {
-                eprintln!("{dir}: cannot replay existing wal: {e}");
-                return None;
-            }
-        }
-    };
     let prior = log.len();
-    let stats = match log.append_batch(db, importer, &mut store, raws, threads) {
-        Ok(s) => s,
+    let stats = match log.ingest(&db, &importer, raws, threads, metrics) {
+        Ok(stats) => stats,
         Err(e) => {
-            eprintln!("ingest failed: {e}");
+            eprintln!("{dir}: {e}");
             return None;
         }
     };
-    if let Err(e) = log.sync() {
-        eprintln!("{dir}: cannot sync wal tail: {e}");
-        return None;
-    }
     println!(
         "ingested {}/{} recipes ({} tombstoned); \
          wal {dir}: {} records (+{}) across {} segment(s) [fsync={policy}]; store: {} recipes",
@@ -397,7 +388,7 @@ fn ingest_into_wal(
         log.len(),
         log.len() - prior,
         log.n_segments(),
-        store.n_recipes()
+        log.n_stored()
     );
     Some(stats)
 }
@@ -445,7 +436,7 @@ fn usage() -> ExitCode {
          culinaria serve    (--stdio | --socket PATH) [--data DIR]      online query service\n  \
          culinaria regions                                       list Table 1 regions\n\
          \n\
-         analyze, report, import and replay --analyze accept --metrics[=json]: a\n\
+         analyze, report, import, ingest and replay --analyze accept --metrics[=json]: a\n\
          pipeline-telemetry dump (spans, counters, histograms) on stderr at exit."
     );
     ExitCode::from(2)
@@ -657,6 +648,7 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
                 .flag("fsync", FsyncPolicy::Batch)
                 .map_err(|msg| format!("{msg} (expected always|batch|off)"))?;
             let segment_bytes = args.flag("segment-bytes", 8u64 * 1024 * 1024)?;
+            let sink = args.metrics()?;
             let Some(dir) = args.path("wal")? else {
                 return Err("needs --wal DIR (the segmented replay log)".to_owned());
             };
@@ -666,11 +658,10 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let Some((raws, issues)) = read_raw_recipes(path) else {
                 return Ok(ExitCode::FAILURE);
             };
-            let db = culinaria::flavordb::curated::curated_db();
-            let importer = Importer::from_flavor_db(&db);
-            let Some(stats) =
-                ingest_into_wal(&dir, policy, segment_bytes, &db, &importer, &raws, threads)
-            else {
+            let ingested =
+                ingest_into_wal(&dir, policy, segment_bytes, &raws, threads, &sink.metrics);
+            sink.dump();
+            let Some(stats) = ingested else {
                 return Ok(ExitCode::FAILURE);
             };
             for failure in &stats.failures {
@@ -698,9 +689,14 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let db = culinaria::flavordb::curated::curated_db();
             let importer = Importer::from_flavor_db(&db);
             // Fsync off: replay only reads (recovery may still truncate
-            // a torn tail, which does sync).
-            let log = match SegmentedLog::open(&dir, FsyncPolicy::Off, 0) {
-                Ok(log) => log,
+            // a torn tail, which does sync). A missing log is an error,
+            // never created.
+            let log = match SegmentedLog::open_existing(&dir, FsyncPolicy::Off, 0) {
+                Ok(Some(log)) => log,
+                Ok(None) => {
+                    eprintln!("{dir}: no wal (MANIFEST missing)");
+                    return Ok(ExitCode::FAILURE);
+                }
                 Err(e) => {
                     eprintln!("{dir}: cannot open wal: {e}");
                     return Ok(ExitCode::FAILURE);

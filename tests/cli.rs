@@ -346,11 +346,37 @@ fn ingest_and_replay_round_trip_through_wal_segments() {
         segments.len()
     );
 
-    // Second batch replays history and appends on top.
-    let (ok, stdout, _) = run(&["ingest", file, "--wal", wal, "--threads", "2"]);
-    assert!(ok);
+    // The fresh log was stamped with the importer, so the second batch
+    // appends without re-resolving history: the metrics count the
+    // batch alone and no verified records.
+    let manifest = std::fs::read_to_string(format!("{wal}/MANIFEST")).expect("manifest");
+    assert!(
+        manifest
+            .lines()
+            .nth(1)
+            .is_some_and(|l| l.starts_with("importer ")),
+        "fresh log is not stamped: {manifest}"
+    );
+    let (ok, stdout, stderr) = run(&[
+        "ingest",
+        file,
+        "--wal",
+        wal,
+        "--threads",
+        "2",
+        "--metrics=json",
+    ]);
+    assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("6 records (+3)"), "stdout: {stdout}");
     assert!(stdout.contains("store: 4 recipes"), "stdout: {stdout}");
+    assert!(
+        stderr.contains("\"import.recipes.offered\":3,"),
+        "stderr: {stderr}"
+    );
+    assert!(
+        stderr.contains("\"wal.verify.records\":0"),
+        "stderr: {stderr}"
+    );
 
     // Replay (full and prefix) rebuilds the same stream.
     let (ok, stdout, _) = run(&["replay", "--wal", wal]);
@@ -394,6 +420,52 @@ fn ingest_and_replay_round_trip_through_wal_segments() {
         "whole records must survive a torn tail: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `replay` reads a log; it never creates one where there is none.
+#[test]
+fn replay_refuses_a_missing_log_and_writes_nothing() {
+    let root = std::env::temp_dir().join(format!("culinaria-nowal-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(&root).expect("mkdir");
+    let listing = |dir: &std::path::Path| -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .expect("read dir")
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+
+    let replay_refuses = |dir: &std::path::Path| {
+        let dir = dir.to_str().expect("utf-8 path");
+        let out = Command::new(env!("CARGO_BIN_EXE_culinaria"))
+            .args(["replay", "--wal", dir])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+        assert!(
+            stderr.contains(&format!("{dir}: no wal (MANIFEST missing)")),
+            "stderr: {stderr}"
+        );
+        assert!(out.stdout.is_empty());
+    };
+
+    // A directory that does not exist stays absent.
+    let before = listing(&root);
+    replay_refuses(&root.join("nonexist_dir"));
+    assert_eq!(listing(&root), before);
+
+    // An existing directory without a manifest is left as it was.
+    let plain = root.join("plain");
+    std::fs::create_dir_all(&plain).expect("mkdir");
+    std::fs::write(plain.join("notes.txt"), "not a log").expect("write");
+    let before = listing(&plain);
+    replay_refuses(&plain);
+    assert_eq!(listing(&plain), before);
+    std::fs::remove_dir_all(&root).ok();
 }
 
 /// End-to-end lifecycle over a real socket: clobber guard, live

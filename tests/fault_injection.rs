@@ -436,7 +436,7 @@ fn seeded_plans_are_reproducible() {
 // as a valid prefix that replays bit-identically at every thread count.
 // ---------------------------------------------------------------------------
 
-use culinaria::recipedb::{FsyncPolicy, RecipeArtifactBuilder, SegmentedLog};
+use culinaria::recipedb::{FsyncPolicy, IngestError, RecipeArtifactBuilder, SegmentedLog};
 
 /// The CRDB2 bytes of `store`: it keeps every recipe field in id
 /// order, so equal stores give equal bytes.
@@ -574,4 +574,55 @@ fn segment_compact_fault_leaves_the_old_segments_live() {
     drop(log);
     assert_recovered_prefix_replays(&dir, &raws);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stamped_ingest_never_re_resolves_history() {
+    let db = culinaria::flavordb::curated::curated_db();
+    let (importer, raws) = import_fixture();
+    // Two batches of history; the fault targets history index 15, which
+    // only a replay of the history reaches (a batch has 12 recipes).
+    let history = [raws.clone(), raws.clone()].concat();
+    let fault_at = plan("import.recipe", raws.len() + 3, FaultKind::Error);
+
+    let stamped = segment_scratch("stamped-ingest");
+    let mut log = fault::with_plan(FaultPlan::new(), || {
+        let mut log =
+            SegmentedLog::open_for(&stamped, FsyncPolicy::Batch, 0, &importer).expect("open");
+        log.ingest(&db, &importer, &history, 2, &off())
+            .expect("history ingests");
+        log
+    });
+    let metrics = Metrics::enabled();
+    let stats = fault::with_plan(fault_at.clone(), || {
+        log.ingest(&db, &importer, &raws, 2, &metrics)
+    })
+    .expect("a stamped log never replays its history");
+    assert_eq!(metrics.snapshot().counter("wal.verify.records"), Some(0));
+    assert!(stats.failures.is_empty());
+    assert_eq!(log.len(), history.len() + raws.len());
+    drop(log);
+
+    let legacy = segment_scratch("legacy-ingest");
+    fault::with_plan(FaultPlan::new(), || {
+        let mut log = SegmentedLog::open(&legacy, FsyncPolicy::Batch, 0).expect("open");
+        log.append_batch(&db, &importer, &mut RecipeStore::new(), &history, 2)
+            .expect("history appends");
+    });
+    let err = fault::with_plan(fault_at, || {
+        let mut log =
+            SegmentedLog::open_for(&legacy, FsyncPolicy::Batch, 0, &importer).expect("open");
+        let err = log.ingest(&db, &importer, &raws, 2, &off()).unwrap_err();
+        assert_eq!(log.len(), history.len(), "a refused ingest appended");
+        err
+    });
+    let IngestError::Refused(inner) = &err else {
+        panic!("expected a refusal, got {err:?}");
+    };
+    assert!(
+        inner.to_string().contains("replay drift at record 15 "),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(&stamped);
+    let _ = std::fs::remove_dir_all(&legacy);
 }

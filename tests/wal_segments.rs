@@ -18,9 +18,11 @@ use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::flavordb::curated::curated_db;
 use culinaria::flavordb::FlavorDb;
+use culinaria::obs::Metrics;
 use culinaria::recipedb::import::{Importer, RawRecipe};
+use culinaria::recipedb::segment::MANIFEST;
 use culinaria::recipedb::{
-    FsyncPolicy, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
+    FsyncPolicy, IngestError, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
 };
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -444,5 +446,162 @@ fn sealed_corruption_and_bad_manifests_are_reported_not_repaired() {
     fs::write(dir.join("MANIFEST"), "NOT-A-MANIFEST\n").expect("clobber manifest");
     let err = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect_err("must refuse");
     assert!(err.to_string().contains("manifest"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The importer stamp line a manifest must carry for `importer`.
+fn stamp_line(importer: &Importer) -> String {
+    format!("importer {:016x}", importer.fingerprint())
+}
+
+/// Ingest `raws` through the fixture importer; returns how many history
+/// records the call re-verified (its `wal.verify.records` counter).
+fn ingest_counting_verified(log: &mut SegmentedLog, raws: &[RawRecipe]) -> u64 {
+    let (db, importer) = fixture();
+    let metrics = Metrics::enabled();
+    let stats = log.ingest(db, importer, raws, 2, &metrics).expect("ingest");
+    assert_eq!(stats.offered, raws.len(), "stats count the batch alone");
+    let snap = metrics.snapshot();
+    assert_eq!(
+        snap.counter("import.recipes.offered"),
+        Some(raws.len() as u64)
+    );
+    snap.counter("wal.verify.records")
+        .expect("counter registered")
+}
+
+/// Every file of a flat directory with its bytes, in name order.
+fn dir_image(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = fs::read_dir(dir)
+        .expect("read dir")
+        .flatten()
+        .map(|e| {
+            let bytes = fs::read(e.path()).expect("read file");
+            (e.file_name().to_string_lossy().into_owned(), bytes)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn importer_stamp_survives_rotation_and_compaction() {
+    let (_, importer) = fixture();
+    let raws = seeded_raws(90);
+    let dir = scratch_dir("stamp-rotate");
+    let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 256, importer).expect("open");
+    assert_eq!(
+        ingest_counting_verified(&mut log, &raws[..60]),
+        0,
+        "a fresh stamped log has no history"
+    );
+    assert!(
+        log.n_segments() >= 3,
+        "need rotations: {}",
+        log.n_segments()
+    );
+    drop(log);
+
+    let manifest = fs::read_to_string(dir.join(MANIFEST)).expect("manifest");
+    assert_eq!(manifest.lines().nth(1), Some(stamp_line(importer).as_str()));
+    let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 256).expect("reopen");
+    assert_eq!(log.importer_stamp(), Some(importer.fingerprint()));
+    log.compact().expect("compact");
+    drop(log);
+
+    let manifest = fs::read_to_string(dir.join(MANIFEST)).expect("manifest");
+    assert_eq!(manifest.lines().nth(1), Some(stamp_line(importer).as_str()));
+    let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 256, importer).expect("reopen");
+    assert_eq!(
+        ingest_counting_verified(&mut log, &raws[60..]),
+        0,
+        "compaction kept the stamp"
+    );
+    assert_replay_matches_cold(&log, &raws, "stamped, rotated and compacted");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stampless_logs_are_verified_once_then_restamped() {
+    let (db, importer) = fixture();
+    let raws = seeded_raws(80);
+    let dir = scratch_dir("stamp-legacy");
+    {
+        // A log written without a stamp, as logs from before stamps are.
+        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("open");
+        log.append_batch(db, importer, &mut RecipeStore::new(), &raws[..40], 2)
+            .expect("append_batch");
+        assert_eq!(log.importer_stamp(), None);
+    }
+    let manifest = fs::read_to_string(dir.join(MANIFEST)).expect("manifest");
+    assert!(!manifest.contains("importer"), "{manifest}");
+
+    let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 2048, importer).expect("open");
+    assert_eq!(ingest_counting_verified(&mut log, &raws[40..60]), 40);
+    assert_eq!(log.importer_stamp(), Some(importer.fingerprint()));
+    drop(log);
+    let manifest = fs::read_to_string(dir.join(MANIFEST)).expect("manifest");
+    assert_eq!(manifest.lines().nth(1), Some(stamp_line(importer).as_str()));
+
+    let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 2048, importer).expect("open");
+    assert_eq!(
+        ingest_counting_verified(&mut log, &raws[60..]),
+        0,
+        "the restamped log is trusted"
+    );
+    assert_eq!(log.len(), 80);
+    assert_replay_matches_cold(&log, &raws, "restamped legacy log");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ingest_refuses_a_log_another_importer_wrote_and_leaves_it_untouched() {
+    let (db, importer) = fixture();
+    let strict = Importer::from_flavor_db(db).with_unresolved_threshold(0.0);
+    // Half-resolvable recipes: stored by the default importer,
+    // tombstoned by the strict one.
+    let mut raws = seeded_raws(30);
+    for i in [11, 19] {
+        raws[i].ingredient_lines.push("xqzzt unobtainium".into());
+    }
+    let reasons = |imp: &Importer| {
+        let stats = imp
+            .import_batch(db, &mut RecipeStore::new(), &raws, 1)
+            .expect("import");
+        let mut by_index = vec![None; raws.len()];
+        for f in stats.failures {
+            by_index[f.index] = Some(f.reason.to_string());
+        }
+        by_index
+    };
+    let first_drift = reasons(&strict)
+        .iter()
+        .zip(reasons(importer))
+        .position(|(a, b)| *a != b)
+        .expect("the two importers disagree somewhere");
+
+    let dir = scratch_dir("stamp-drift");
+    let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 1024, &strict).expect("open");
+    log.ingest(db, &strict, &raws, 2, &Metrics::disabled())
+        .expect("strict ingest");
+    drop(log);
+    let before = dir_image(&dir);
+
+    let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 1024, importer).expect("open");
+    let err = log
+        .ingest(db, importer, &raws[..5], 2, &Metrics::disabled())
+        .expect_err("drift must refuse");
+    let IngestError::Refused(inner) = &err else {
+        panic!("expected a refusal, got {err:?}");
+    };
+    assert!(
+        inner
+            .to_string()
+            .contains(&format!("replay drift at record {first_drift} ")),
+        "{err}"
+    );
+    assert_eq!(log.len(), raws.len(), "nothing appended");
+    drop(log);
+    assert_eq!(dir_image(&dir), before, "a refused ingest wrote to the log");
     let _ = fs::remove_dir_all(&dir);
 }
