@@ -62,7 +62,8 @@ pub use error::{FailureCause, StageFailure};
 pub use monte_carlo::MonteCarloConfig;
 pub use null_models::NullModel;
 pub use pairing::{
-    mean_cuisine_score, recipe_pairing_score, try_recipe_pairing_score, OverlapCache,
+    mean_cuisine_score, novel_pairings, recipe_pairing_score, try_recipe_pairing_score,
+    NovelPairing, OverlapCache,
 };
 pub use streaming::{RegionStream, StreamState};
 pub use view::{CuisineView, FlavorViewRef, RecipesViewRef};

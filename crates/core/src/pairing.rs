@@ -583,6 +583,71 @@ impl OverlapCache {
     }
 }
 
+/// One novel-pairing candidate: a pool pair (local indices `i < j`)
+/// with shared flavor compounds, how many recipes use it, and its
+/// novelty `overlap / (1 + cooc)` — high when the food-pairing
+/// hypothesis favours the pair but cooks rarely combine it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NovelPairing {
+    /// `overlap / (1 + cooc)`.
+    pub novelty: f64,
+    /// Flavor compounds the two ingredients share.
+    pub overlap: u32,
+    /// Recipes using both ingredients.
+    pub cooc: u64,
+    /// Pool-local index of the first ingredient (`i < j`).
+    pub i: u32,
+    /// Pool-local index of the second ingredient.
+    pub j: u32,
+}
+
+/// Every pool pair of `cache` with a non-zero overlap, most novel
+/// first; equal novelties keep `(i, j)` order. Co-use counts the
+/// `recipes` (ingredient lists; ids outside the pool are ignored) that
+/// hold both ingredients.
+pub fn novel_pairings<'r>(
+    cache: &OverlapCache,
+    recipes: impl IntoIterator<Item = &'r [IngredientId]>,
+) -> Vec<NovelPairing> {
+    let n = cache.len();
+    let tri_index = |i: u32, j: u32| {
+        let (i, j) = (i as usize, j as usize);
+        i * (2 * n - i - 1) / 2 + (j - i - 1)
+    };
+    let mut cooc = vec![0u64; cache.tri.len()];
+    let mut members = Vec::new();
+    for ings in recipes {
+        members.clear();
+        members.extend(ings.iter().filter_map(|&id| cache.local_index(id)));
+        members.sort_unstable();
+        members.dedup();
+        for (k, &i) in members.iter().enumerate() {
+            for &j in &members[k + 1..] {
+                cooc[tri_index(i, j)] += 1;
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for i in 0..n as u32 {
+        for j in i + 1..n as u32 {
+            let overlap = cache.overlap(i, j);
+            if overlap == 0 {
+                continue;
+            }
+            let cooc = cooc[tri_index(i, j)];
+            out.push(NovelPairing {
+                novelty: f64::from(overlap) / (1.0 + cooc as f64),
+                overlap,
+                cooc,
+                i,
+                j,
+            });
+        }
+    }
+    out.sort_by(|a, b| b.novelty.total_cmp(&a.novelty));
+    out
+}
+
 /// Reusable scratch for k-way bitset intersections along a
 /// lexicographic combination walk — the kernel under the n-tuple
 /// analyses ([`crate::ntuple`]).

@@ -30,10 +30,20 @@
 //! them, counted as `invalidations` (plus a regular miss). Lazy
 //! eviction keeps the bump O(1): no sweep over the slab on ingest,
 //! stale entries age out through lookups and LRU pressure.
+//!
+//! # Counters
+//!
+//! The cache counts into the registry it is built with: its
+//! `serve.cache.{hits,misses,evictions,invalidations}` handles are the
+//! only copies of those counts, so [`ResponseCache::stats`], the
+//! `METRICS` endpoint and `HEALTH`'s hit rate read the same atomics. A
+//! disabled registry makes them read 0.
 
 use std::collections::HashMap;
+use std::num::NonZeroUsize;
 
 use culinaria_flavordb::IngredientId;
+use culinaria_obs::{Counter, Metrics};
 
 /// Sentinel slab index (`no entry` / `no set`).
 const NIL: u32 = u32::MAX;
@@ -142,8 +152,7 @@ struct Entry {
     next: u32,
 }
 
-/// Counters the cache maintains; mirrored into `culinaria-obs` by the
-/// server so the `metrics` endpoint exposes them live.
+/// A point-in-time read of the cache's counters and occupancy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     pub hits: u64,
@@ -160,8 +169,7 @@ pub struct CacheStats {
     pub interned_bytes: usize,
 }
 
-/// The bounded LRU response cache. Capacity 0 disables it entirely
-/// (every lookup misses without counting, every store is a no-op).
+/// The bounded LRU response cache.
 #[derive(Debug)]
 pub struct ResponseCache {
     capacity: usize,
@@ -173,27 +181,29 @@ pub struct ResponseCache {
     head: u32,
     /// LRU end of the list (next eviction victim).
     tail: u32,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    invalidations: u64,
+    hits: Counter,
+    misses: Counter,
+    evictions: Counter,
+    invalidations: Counter,
     generation: u64,
 }
 
 impl ResponseCache {
-    pub fn new(capacity: usize) -> ResponseCache {
+    /// An empty cache holding at most `capacity` entries, counting into
+    /// `metrics`' `serve.cache.*` counters.
+    pub fn new(capacity: NonZeroUsize, metrics: &Metrics) -> ResponseCache {
         ResponseCache {
-            capacity,
+            capacity: capacity.get(),
             interner: SetInterner::default(),
             map: HashMap::new(),
             entries: Vec::new(),
             free: Vec::new(),
             head: NIL,
             tail: NIL,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-            invalidations: 0,
+            hits: metrics.counter("serve.cache.hits"),
+            misses: metrics.counter("serve.cache.misses"),
+            evictions: metrics.counter("serve.cache.evictions"),
+            invalidations: metrics.counter("serve.cache.invalidations"),
             generation: 0,
         }
     }
@@ -203,9 +213,13 @@ impl ResponseCache {
     /// evicted lazily on lookup and counted as `invalidations`.
     ///
     /// ```
+    /// use std::num::NonZeroUsize;
+    ///
+    /// use culinaria_obs::Metrics;
     /// use culinaria_serve::cache::{Endpoint, ResponseCache};
     ///
-    /// let mut c = ResponseCache::new(4);
+    /// let capacity = NonZeroUsize::new(4).unwrap();
+    /// let mut c = ResponseCache::new(capacity, &Metrics::enabled());
     /// c.store(Endpoint::ZProf, 1, 0, None, "old answer".into());
     /// assert!(c.lookup(Endpoint::ZProf, 1, 0, None).is_some());
     ///
@@ -243,18 +257,27 @@ impl ResponseCache {
         param: u64,
         ids: Option<&[IngredientId]>,
     ) -> Option<String> {
-        if self.capacity == 0 {
-            return None;
+        let got = self.find(endpoint, region, param, ids);
+        match got {
+            Some(_) => self.hits.incr(),
+            None => self.misses.incr(),
         }
+        got
+    }
+
+    /// The live entry for a key, promoted to MRU. A stale-generation
+    /// entry answers for data that no longer exists: it is evicted and
+    /// reported as absent, so the caller recomputes.
+    fn find(
+        &mut self,
+        endpoint: Endpoint,
+        region: u8,
+        param: u64,
+        ids: Option<&[IngredientId]>,
+    ) -> Option<String> {
         let set = match ids {
-            Some(ids) => match self.interner.peek(&Self::normalize(ids)) {
-                Some(slot) => slot,
-                // An unseen set cannot have an entry.
-                None => {
-                    self.misses += 1;
-                    return None;
-                }
-            },
+            // An unseen set cannot have an entry.
+            Some(ids) => self.interner.peek(&Self::normalize(ids))?,
             None => NIL,
         };
         let key = CacheKey {
@@ -263,27 +286,15 @@ impl ResponseCache {
             param,
             set,
         };
-        match self.map.get(&key).copied() {
-            Some(e) if self.entries[e as usize].generation == self.generation => {
-                self.unlink(e);
-                self.push_front(e);
-                self.hits += 1;
-                Some(self.entries[e as usize].value.clone())
-            }
-            Some(e) => {
-                // Stale generation: the answer predates the last
-                // ingest. Evict it and miss so the caller recomputes
-                // against the live data.
-                self.evict_entry(e);
-                self.invalidations += 1;
-                self.misses += 1;
-                None
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let e = *self.map.get(&key)?;
+        if self.entries[e as usize].generation != self.generation {
+            self.evict_entry(e);
+            self.invalidations.incr();
+            return None;
         }
+        self.unlink(e);
+        self.push_front(e);
+        Some(self.entries[e as usize].value.clone())
     }
 
     /// Store a response, evicting the LRU entry when at capacity.
@@ -295,9 +306,6 @@ impl ResponseCache {
         ids: Option<&[IngredientId]>,
         value: String,
     ) {
-        if self.capacity == 0 {
-            return;
-        }
         let norm = ids.map(Self::normalize);
         // Refresh in place when the key already has an entry (its set,
         // if any, must already be interned for the probe to hit).
@@ -360,7 +368,7 @@ impl ResponseCache {
         let victim = self.tail;
         debug_assert_ne!(victim, NIL, "evict called on an empty cache");
         self.evict_entry(victim);
-        self.evictions += 1;
+        self.evictions.incr();
     }
 
     /// Remove one entry from the map, list, slab, and interner.
@@ -411,10 +419,10 @@ impl ResponseCache {
 
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            invalidations: self.invalidations,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            evictions: self.evictions.get(),
+            invalidations: self.invalidations.get(),
             entries: self.map.len(),
             interned_sets: self.interner.live(),
             interned_bytes: self.interner.resident_bytes(),
@@ -442,9 +450,13 @@ mod tests {
         raw.iter().map(|&r| IngredientId(r)).collect()
     }
 
+    fn cache(capacity: usize) -> ResponseCache {
+        ResponseCache::new(NonZeroUsize::new(capacity).unwrap(), &Metrics::enabled())
+    }
+
     #[test]
     fn hit_after_store_and_order_normalization() {
-        let mut c = ResponseCache::new(4);
+        let mut c = cache(4);
         assert!(c
             .lookup(Endpoint::Pair, 0, 0, Some(&ids(&[3, 1])))
             .is_none());
@@ -460,7 +472,7 @@ mod tests {
 
     #[test]
     fn lru_eviction_order_with_promotion() {
-        let mut c = ResponseCache::new(2);
+        let mut c = cache(2);
         c.store(Endpoint::ZProf, 1, 0, None, "a".into());
         c.store(Endpoint::ZProf, 2, 0, None, "b".into());
         // Touch region 1 so region 2 becomes the LRU victim.
@@ -475,7 +487,7 @@ mod tests {
     #[test]
     fn bounded_memory_under_churn() {
         let cap = 8;
-        let mut c = ResponseCache::new(cap);
+        let mut c = cache(cap);
         for i in 0..1000u32 {
             c.store(Endpoint::Pair, 0, 0, Some(&ids(&[i, i + 1])), "x".into());
         }
@@ -490,7 +502,7 @@ mod tests {
 
     #[test]
     fn shared_set_across_keys_survives_one_eviction() {
-        let mut c = ResponseCache::new(2);
+        let mut c = cache(2);
         let set = ids(&[5, 9]);
         // Same set under two keys (region shard and global).
         c.store(Endpoint::Pair, 0, 0, Some(&set), "regional".into());
@@ -512,7 +524,7 @@ mod tests {
 
     #[test]
     fn store_existing_key_refreshes_without_duplicating() {
-        let mut c = ResponseCache::new(2);
+        let mut c = cache(2);
         let set = ids(&[1, 2]);
         c.store(Endpoint::Pair, 0, 0, Some(&set), "old".into());
         c.store(Endpoint::Pair, 0, 0, Some(&set), "new".into());
@@ -526,7 +538,7 @@ mod tests {
 
     #[test]
     fn generation_bump_invalidates_lazily() {
-        let mut c = ResponseCache::new(4);
+        let mut c = cache(4);
         let set = ids(&[1, 2]);
         c.store(Endpoint::Pair, 0, 0, Some(&set), "g0".into());
         c.store(Endpoint::ZProf, 1, 0, None, "z0".into());
@@ -558,7 +570,7 @@ mod tests {
 
     #[test]
     fn refresh_in_place_restamps_generation() {
-        let mut c = ResponseCache::new(2);
+        let mut c = cache(2);
         c.store(Endpoint::ZProf, 1, 0, None, "old".into());
         c.set_generation(3);
         // A lookup would invalidate; a store refreshes *and* restamps.
@@ -568,15 +580,5 @@ mod tests {
             Some("new")
         );
         assert_eq!(c.stats().invalidations, 0);
-    }
-
-    #[test]
-    fn zero_capacity_is_inert() {
-        let mut c = ResponseCache::new(0);
-        c.store(Endpoint::Pair, 0, 0, Some(&ids(&[1, 2])), "v".into());
-        assert!(c
-            .lookup(Endpoint::Pair, 0, 0, Some(&ids(&[1, 2])))
-            .is_none());
-        assert_eq!(c.stats(), CacheStats::default());
     }
 }

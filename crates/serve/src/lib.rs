@@ -37,7 +37,9 @@
 //! # Operational hardening
 //!
 //! The serving path is built to survive hostile or unlucky clients and
-//! to die well ([`deadline`], [`lifecycle`]; `DESIGN.md` §15): armed
+//! to die well ([`transport`], [`deadline`], [`lifecycle`];
+//! `DESIGN.md` §15): [`transport::run`] owns the socket — clobber
+//! guard, connection cap, accept backoff, signal wiring — and armed
 //! connections carry idle/read/write deadlines (slow clients are shed
 //! with a framed `ERR read-timeout`, never a wedged thread), the
 //! `HEALTH` verb reports liveness and pressure, and SIGINT/SIGTERM
@@ -52,10 +54,11 @@ pub mod lifecycle;
 pub mod protocol;
 pub mod queue;
 pub mod server;
+pub mod transport;
 
 pub use cache::{CacheStats, ResponseCache};
 pub use deadline::{arm, DeadlineReader, TimeoutClass, POLL_TICK};
-pub use lifecycle::{install_signal_handlers, ShutdownFlag};
+pub use lifecycle::ShutdownFlag;
 pub use protocol::{Client, ProtoError, Request, MAX_FRAME};
 pub use queue::BoundedQueue;
 pub use server::{resolve_score_lines, ConnStats, ServeConfig, Server};

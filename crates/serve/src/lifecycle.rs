@@ -7,8 +7,8 @@
 //! (non-blocking) accepts, and each connection's [`super::deadline::DeadlineReader`]
 //! on its poll ticks. That keeps the shutdown sequence ordinary
 //! sequential code: stop accepting → connections drain their buffered
-//! frames → queues close → batchers flush replies → WAL fsync → socket
-//! unlink → exit 0 — with the determinism contract (serial-equivalent
+//! frames → queues close → batchers flush replies → socket unlink →
+//! exit 0 — with the determinism contract (serial-equivalent
 //! batch replies) untouched, because shutdown reuses the exact
 //! [`crate::BoundedQueue::close`] path every connection already ends
 //! with.
@@ -38,8 +38,8 @@ extern "C" fn on_signal(_signum: i32) {
 /// connection. Cloning shares the underlying flag; [`ShutdownFlag::new`]
 /// makes an independent one (used per-session and in tests).
 ///
-/// A flag created by [`install_signal_handlers`] *also* observes the
-/// process-wide SIGINT/SIGTERM latch, so operator signals and
+/// A flag from [`ShutdownFlag::with_signal_handlers`] *also* observes
+/// the process-wide SIGINT/SIGTERM latch, so operator signals and
 /// programmatic [`ShutdownFlag::trigger`] calls read identically to
 /// pollers.
 #[derive(Debug, Clone, Default)]
@@ -60,27 +60,29 @@ impl ShutdownFlag {
     }
 
     /// True once [`ShutdownFlag::trigger`] ran — or, for a flag from
-    /// [`install_signal_handlers`], once SIGINT/SIGTERM arrived.
+    /// [`ShutdownFlag::with_signal_handlers`], once SIGINT/SIGTERM
+    /// arrived.
     pub fn is_triggered(&self) -> bool {
         self.local.load(Ordering::SeqCst)
             || (self.follow_signals && SIGNALED.load(Ordering::SeqCst))
     }
-}
 
-/// Install SIGINT/SIGTERM handlers and return a [`ShutdownFlag`] that
-/// observes them. Safe to call more than once (re-registration is a
-/// no-op in effect); the returned flags all watch the same latch.
-pub fn install_signal_handlers() -> ShutdownFlag {
-    // SAFETY: `signal` is registering an async-signal-safe extern "C"
-    // handler; the handler only stores to a static atomic.
-    let handler = on_signal as extern "C" fn(i32) as *const () as usize;
-    unsafe {
-        signal(SIGINT, handler);
-        signal(SIGTERM, handler);
-    }
-    ShutdownFlag {
-        local: Arc::new(AtomicBool::new(false)),
-        follow_signals: true,
+    /// Install SIGINT/SIGTERM handlers and return a clone of this flag
+    /// that also trips on them. Safe to call more than once
+    /// (re-registration is a no-op in effect); every such flag watches
+    /// the same latch.
+    pub fn with_signal_handlers(&self) -> ShutdownFlag {
+        // SAFETY: `signal` is registering an async-signal-safe extern "C"
+        // handler; the handler only stores to a static atomic.
+        let handler = on_signal as extern "C" fn(i32) as *const () as usize;
+        unsafe {
+            signal(SIGINT, handler);
+            signal(SIGTERM, handler);
+        }
+        ShutdownFlag {
+            local: Arc::clone(&self.local),
+            follow_signals: true,
+        }
     }
 }
 
@@ -101,13 +103,19 @@ mod tests {
 
     #[test]
     fn installed_flag_watches_the_signal_latch() {
-        let flag = install_signal_handlers();
+        let base = ShutdownFlag::new();
+        let flag = base.with_signal_handlers();
         assert!(!flag.is_triggered() || SIGNALED.load(Ordering::SeqCst));
         // Simulate signal delivery by calling the handler directly —
         // it must be nothing more than an atomic store.
         on_signal(SIGTERM);
         assert!(flag.is_triggered());
+        // The base flag never follows signals; a trigger on it reaches
+        // the signal-following clone.
+        assert!(!base.is_triggered());
         SIGNALED.store(false, Ordering::SeqCst);
         assert!(!flag.is_triggered());
+        base.trigger();
+        assert!(flag.is_triggered());
     }
 }

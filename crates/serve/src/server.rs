@@ -33,11 +33,12 @@
 //! epoch exactly as they were at startup.
 
 use std::io::{self, BufWriter, Read, Write};
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 use std::time::Instant;
 
-use culinaria_core::pairing::OverlapCache;
+use culinaria_core::pairing::{novel_pairings, NovelPairing, OverlapCache};
 use culinaria_core::z_analysis::{region_overlap_cache, try_analyze_cuisine_with_cache};
 use culinaria_core::{
     try_recipe_pairing_score, FlavorViewRef, MonteCarloConfig, NullModel, RecipesViewRef,
@@ -127,46 +128,8 @@ pub struct RegionShard {
     overlap: OverlapCache,
     /// Mean observed ⟨N_s⟩ of the cuisine (None for a scoreless one).
     mean: OnceLock<Option<f64>>,
-    /// Sorted novel-pairing candidates, built on the first `TOPK`.
-    candidates: OnceLock<Vec<Candidate>>,
-}
-
-/// One scored pool pair (indices are pool-local).
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    novelty: f64,
-    overlap: u32,
-    cooc: u64,
-    i: u32,
-    j: u32,
-}
-
-/// Upper-triangle index for `i < j` over an `n`-wide pool.
-fn tri_index(n: usize, i: usize, j: usize) -> usize {
-    i * n - i * (i + 1) / 2 + (j - i - 1)
-}
-
-/// Store-wide co-occurrence counts for every pool pair — the
-/// `examples/novel_pairings.rs` logic promoted into the server.
-fn cooc_triangle<'r>(
-    pool: &[IngredientId],
-    recipes: impl Iterator<Item = &'r [IngredientId]>,
-) -> Vec<u64> {
-    let pos: std::collections::HashMap<IngredientId, usize> =
-        pool.iter().enumerate().map(|(i, &id)| (id, i)).collect();
-    let mut tri = vec![0u64; pool.len() * pool.len().saturating_sub(1) / 2];
-    let mut members = Vec::new();
-    for ings in recipes {
-        members.clear();
-        members.extend(ings.iter().filter_map(|id| pos.get(id).copied()));
-        members.sort_unstable();
-        for (k, &i) in members.iter().enumerate() {
-            for &j in &members[k + 1..] {
-                tri[tri_index(pool.len(), i, j)] += 1;
-            }
-        }
-    }
-    tri
+    /// Ranked novel-pairing candidates, built on the first `TOPK`.
+    candidates: OnceLock<Vec<NovelPairing>>,
 }
 
 /// Lazily materialized owned-database context for `SCORE` (the
@@ -234,10 +197,6 @@ struct ServeObs {
     queue_depth: Gauge,
     requests: Counter,
     busy: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    cache_evictions: Counter,
-    cache_invalidations: Counter,
     shard_builds: Counter,
     timeouts: Counter,
     conns: Gauge,
@@ -254,10 +213,6 @@ impl ServeObs {
             queue_depth: m.gauge("serve.queue.depth"),
             requests: m.counter("serve.requests"),
             busy: m.counter("serve.busy"),
-            cache_hits: m.counter("serve.cache.hits"),
-            cache_misses: m.counter("serve.cache.misses"),
-            cache_evictions: m.counter("serve.cache.evictions"),
-            cache_invalidations: m.counter("serve.cache.invalidations"),
             shard_builds: m.counter("serve.shard.builds"),
             timeouts: m.counter("serve.timeouts"),
             conns: m.gauge("serve.conns"),
@@ -324,8 +279,8 @@ impl<'a> Server<'a> {
         metrics: Metrics,
     ) -> Server<'a> {
         let obs = ServeObs::new(&metrics);
-        let cache =
-            (cfg.cache_entries > 0).then(|| Mutex::new(ResponseCache::new(cfg.cache_entries)));
+        let cache = NonZeroUsize::new(cfg.cache_entries)
+            .map(|capacity| Mutex::new(ResponseCache::new(capacity, &metrics)));
         Server {
             epoch: RwLock::new(Arc::new(Epoch::new(flavor, recipes))),
             generation: AtomicU64::new(0),
@@ -377,14 +332,26 @@ impl<'a> Server<'a> {
         self.epoch.read().unwrap_or_else(|p| p.into_inner()).clone()
     }
 
-    /// The cache's own counters (None when the cache is disabled).
+    /// The cache's counters and occupancy (None when the cache is
+    /// disabled).
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| lock_unpoisoned(c).stats())
     }
 
-    /// Connections currently inside [`Server::serve_connection`].
-    pub fn active_connections(&self) -> u64 {
-        self.active_conns.load(Ordering::SeqCst)
+    /// Take a connection slot unless `limit` (0 = unlimited) slots are
+    /// already held. The slot is released when dropped.
+    pub(crate) fn claim_connection(&self, limit: usize) -> Option<ConnSlot<'_>> {
+        let held = self
+            .active_conns
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (limit == 0 || n < limit as u64).then_some(n + 1)
+            })
+            .ok()?;
+        self.obs.conns.set(held as i64 + 1);
+        Some(ConnSlot {
+            active: &self.active_conns,
+            gauge: &self.obs.conns,
+        })
     }
 
     /// The region's shard in this epoch, built on first use. `Ok(None)`
@@ -500,20 +467,7 @@ impl<'a> Server<'a> {
     fn cache_lookup(&self, req: &Request) -> Option<String> {
         let cache = self.cache.as_ref()?;
         let slot = Self::cache_slot(req)?;
-        let ids = slot.ids(req);
-        let mut cache = lock_unpoisoned(cache);
-        let stale_before = cache.stats().invalidations;
-        let got = cache.lookup(slot.endpoint, slot.region, slot.param, ids);
-        let invalidated = cache.stats().invalidations - stale_before;
-        drop(cache);
-        if invalidated > 0 {
-            self.obs.cache_invalidations.add(invalidated);
-        }
-        match &got {
-            Some(_) => self.obs.cache_hits.add(1),
-            None => self.obs.cache_misses.add(1),
-        }
-        got
+        lock_unpoisoned(cache).lookup(slot.endpoint, slot.region, slot.param, slot.ids(req))
     }
 
     fn cache_store(&self, slot: &CacheSlot, req: &Request, body: String) {
@@ -523,13 +477,13 @@ impl<'a> Server<'a> {
             return;
         }
         if let Some(cache) = self.cache.as_ref() {
-            let mut cache = lock_unpoisoned(cache);
-            let before = cache.stats().evictions;
-            cache.store(slot.endpoint, slot.region, slot.param, slot.ids(req), body);
-            let evicted = cache.stats().evictions - before;
-            if evicted > 0 {
-                self.obs.cache_evictions.add(evicted);
-            }
+            lock_unpoisoned(cache).store(
+                slot.endpoint,
+                slot.region,
+                slot.param,
+                slot.ids(req),
+                body,
+            );
         }
     }
 
@@ -576,8 +530,7 @@ impl<'a> Server<'a> {
     /// probes. Volatile by construction (uptime, queue depth), so it is
     /// never cached — like `METRICS`, its cache slot is `None`.
     fn health_body(&self) -> String {
-        let hits = self.obs.cache_hits.get();
-        let misses = self.obs.cache_misses.get();
+        let (hits, misses) = self.cache_stats().map_or((0, 0), |s| (s.hits, s.misses));
         let lookups = hits + misses;
         let hit_rate = if lookups == 0 {
             0.0
@@ -662,30 +615,9 @@ impl<'a> Server<'a> {
             Ok(s) => s,
             Err(e) => return e,
         };
-        let candidates = shard.candidates.get_or_init(|| {
-            let cooc = cooc_triangle(&shard.pool, Self::all_recipe_lists(ep.recipes));
-            let n = shard.pool.len();
-            let mut out = Vec::new();
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let overlap = shard.overlap.overlap(i as u32, j as u32);
-                    if overlap == 0 {
-                        continue;
-                    }
-                    let cooc = cooc[tri_index(n, i, j)];
-                    let novelty = f64::from(overlap) / (1.0 + cooc as f64);
-                    out.push(Candidate {
-                        novelty,
-                        overlap,
-                        cooc,
-                        i: i as u32,
-                        j: j as u32,
-                    });
-                }
-            }
-            out.sort_by(|a, b| b.novelty.total_cmp(&a.novelty));
-            out
-        });
+        let candidates = shard
+            .candidates
+            .get_or_init(|| novel_pairings(&shard.overlap, Self::all_recipe_lists(ep.recipes)));
         let mut rows = Vec::with_capacity(k.min(candidates.len()));
         for c in candidates.iter().take(k) {
             let name = |local: u32| {
@@ -762,19 +694,8 @@ impl<'a> Server<'a> {
         })
     }
 
-    /// Serve one framed connection until EOF, `QUIT`, or an I/O error.
-    /// Equivalent to [`Server::serve_connection_with`] with a shutdown
-    /// flag that never fires.
-    pub fn serve_connection<R, W>(&self, reader: R, writer: W) -> io::Result<ConnStats>
-    where
-        R: Read,
-        W: Write + Send,
-    {
-        self.serve_connection_with(reader, writer, &ShutdownFlag::new())
-    }
-
-    /// Serve one framed connection until EOF, `QUIT`, an I/O error, a
-    /// deadline, or shutdown.
+    /// Serve one framed connection until EOF, `QUIT`, an I/O error, or
+    /// a deadline.
     ///
     /// The calling thread reads and parses frames, answers protocol
     /// errors and shed requests inline, and feeds the bounded queue; a
@@ -784,35 +705,25 @@ impl<'a> Server<'a> {
     /// frame granularity and correlate by request id, not by order.
     ///
     /// Deadline semantics (active only on streams armed by
-    /// [`crate::deadline::arm`]): an **idle** timeout or the `shutdown`
-    /// flag closes the connection cleanly after draining accepted
-    /// requests; a **mid-frame** timeout sheds the client with a framed
+    /// [`crate::deadline::arm`]): an **idle** timeout closes the
+    /// connection cleanly after draining accepted requests; a
+    /// **mid-frame** timeout sheds the client with a framed
     /// `ERR read-timeout` first; a write failure (including a
     /// `SO_SNDTIMEO` expiry against a non-draining client) marks the
     /// connection dead so the reader stops on its next tick.
-    pub fn serve_connection_with<R, W>(
-        &self,
-        reader: R,
-        writer: W,
-        shutdown: &ShutdownFlag,
-    ) -> io::Result<ConnStats>
+    pub fn serve_connection<R, W>(&self, reader: R, writer: W) -> io::Result<ConnStats>
     where
         R: Read,
         W: Write + Send,
     {
-        self.active_conns.fetch_add(1, Ordering::SeqCst);
-        self.obs
-            .conns
-            .set(self.active_conns.load(Ordering::SeqCst) as i64);
-        let result = self.serve_connection_inner(reader, writer, shutdown);
-        self.active_conns.fetch_sub(1, Ordering::SeqCst);
-        self.obs
-            .conns
-            .set(self.active_conns.load(Ordering::SeqCst) as i64);
-        result
+        let _slot = self.claim_connection(0);
+        self.serve_until(reader, writer, &ShutdownFlag::new())
     }
 
-    fn serve_connection_inner<R, W>(
+    /// [`Server::serve_connection`] for a caller that holds this
+    /// connection's slot. An armed stream also closes, cleanly and
+    /// after draining accepted requests, once `shutdown` trips.
+    pub(crate) fn serve_until<R, W>(
         &self,
         reader: R,
         writer: W,
@@ -835,14 +746,18 @@ impl<'a> Server<'a> {
         let write_seq = AtomicU64::new(0);
         let mut reader = DeadlineReader::new(reader, &self.cfg, shutdown, &dead);
 
-        let write_payload = |payload: &str| -> io::Result<()> {
+        // Write and flush a run of reply frames under one lock and one
+        // `serve.write` probe index.
+        let write_payloads = |payloads: &[String]| -> io::Result<()> {
             fault::probe(
                 "serve.write",
                 write_seq.fetch_add(1, Ordering::Relaxed) as usize,
             )
             .map_err(io::Error::other)?;
             let mut w = lock_unpoisoned(&writer);
-            write_frame(&mut *w, payload.as_bytes())?;
+            for payload in payloads {
+                write_frame(&mut *w, payload.as_bytes())?;
+            }
             w.flush()
         };
 
@@ -853,19 +768,7 @@ impl<'a> Server<'a> {
                     self.obs.queue_depth.set(queue.depth() as i64);
                     let payloads = self.handle_batch(&batch);
                     served.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    let wrote = (|| -> io::Result<()> {
-                        fault::probe(
-                            "serve.write",
-                            write_seq.fetch_add(1, Ordering::Relaxed) as usize,
-                        )
-                        .map_err(io::Error::other)?;
-                        let mut w = lock_unpoisoned(&writer);
-                        for payload in &payloads {
-                            write_frame(&mut *w, payload.as_bytes())?;
-                        }
-                        w.flush()
-                    })();
-                    if let Err(e) = wrote {
+                    if let Err(e) = write_payloads(&payloads) {
                         dead.store(true, Ordering::SeqCst);
                         return Err(e);
                     }
@@ -888,7 +791,7 @@ impl<'a> Server<'a> {
                                 Push::Shed(depth) => {
                                     shed.fetch_add(1, Ordering::Relaxed);
                                     self.obs.busy.add(1);
-                                    if let Err(e) = write_payload(&encode_busy(id, depth)) {
+                                    if let Err(e) = write_payloads(&[encode_busy(id, depth)]) {
                                         break Err(e);
                                     }
                                 }
@@ -899,7 +802,7 @@ impl<'a> Server<'a> {
                         }
                         Err((id, e)) => {
                             proto_errors.fetch_add(1, Ordering::Relaxed);
-                            if let Err(e) = write_payload(&encode_err(id, &e)) {
+                            if let Err(e) = write_payloads(&[encode_err(id, &e)]) {
                                 break Err(e);
                             }
                         }
@@ -925,7 +828,7 @@ impl<'a> Server<'a> {
                                 "read-timeout",
                                 "frame not completed within the read deadline",
                             );
-                            let _ = write_payload(&encode_err(0, &e));
+                            let _ = write_payloads(&[encode_err(0, &e)]);
                             break Ok(());
                         }
                         None => break Err(e),
@@ -935,7 +838,7 @@ impl<'a> Server<'a> {
                         // the byte stream is no longer trustworthy.
                         proto_errors.fetch_add(1, Ordering::Relaxed);
                         let e = ProtoError::new("bad-frame", frame_err.to_string());
-                        let _ = write_payload(&encode_err(0, &e));
+                        let _ = write_payloads(&[encode_err(0, &e)]);
                         break Ok(());
                     }
                 }
@@ -954,6 +857,20 @@ impl<'a> Server<'a> {
             shed: shed.load(Ordering::Relaxed),
             protocol_errors: proto_errors.load(Ordering::Relaxed),
         })
+    }
+}
+
+/// One held connection slot (see [`Server::claim_connection`]); dropping
+/// it releases the slot and updates the `serve.conns` gauge.
+pub(crate) struct ConnSlot<'s> {
+    active: &'s AtomicU64,
+    gauge: &'s Gauge,
+}
+
+impl Drop for ConnSlot<'_> {
+    fn drop(&mut self) {
+        let held = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
+        self.gauge.set(held as i64);
     }
 }
 

@@ -12,7 +12,7 @@ use culinaria_core::pairing::OverlapCache;
 use culinaria_core::z_analysis::analyze_cuisine;
 use culinaria_core::{recipe_pairing_score, FlavorViewRef, MonteCarloConfig, RecipesViewRef};
 use culinaria_core::{CuisineView, NullModel};
-use culinaria_datagen::{generate_world, World, WorldConfig};
+use culinaria_datagen::World;
 use culinaria_flavordb::IngredientId;
 use culinaria_obs::Metrics;
 use culinaria_recipedb::import::Importer;
@@ -20,20 +20,10 @@ use culinaria_recipedb::{RecipeStore, Region, Source};
 use culinaria_serve::protocol::{
     self, parse_request, read_frame, topk_body, Client, TopPairing, MAX_FRAME,
 };
-use culinaria_serve::{ConnStats, Request, ServeConfig, Server};
+use culinaria_serve::{Request, ServeConfig, Server};
 
-fn tiny_world() -> World {
-    generate_world(&WorldConfig::tiny())
-}
-
-fn server_over<'a>(world: &'a World, cfg: ServeConfig) -> Server<'a> {
-    Server::new(
-        FlavorViewRef::Owned(&world.flavor),
-        RecipesViewRef::Owned(&world.recipes),
-        cfg,
-        Metrics::enabled(),
-    )
-}
+mod common;
+use common::{deadline_cfg, server_over, tiny_world, with_connection};
 
 /// A populated region of the world plus a few of its ingredient ids.
 fn probe(world: &World) -> (Region, Vec<IngredientId>) {
@@ -53,23 +43,6 @@ fn ids_arg(ids: &[IngredientId]) -> String {
         .map(|id| id.0.to_string())
         .collect::<Vec<_>>()
         .join(",")
-}
-
-/// Run `f` against a served connection; returns the connection stats.
-fn with_connection<F>(server: &Server<'_>, f: F) -> ConnStats
-where
-    F: FnOnce(&mut Client<UnixStream>) + Send,
-{
-    let (server_side, client_side) = UnixStream::pair().expect("socketpair");
-    std::thread::scope(|scope| {
-        let reader = server_side.try_clone().expect("clone");
-        let handle =
-            scope.spawn(move || server.serve_connection(reader, server_side).expect("serve"));
-        let mut client = Client::new(client_side);
-        f(&mut client);
-        drop(client);
-        handle.join().expect("server thread")
-    })
 }
 
 proptest! {
@@ -242,6 +215,7 @@ fn batched_equals_serial_responses() {
         .map(|(id, req)| serial_server.handle(*id, req))
         .collect();
     assert_eq!(batched, serial);
+    assert!(batched_server.cache_stats().is_none());
 }
 
 #[test]
@@ -602,7 +576,7 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     assert_eq!(stats.invalidations, 1);
     assert_eq!(stats.hits, 2);
 
-    // Counter mirrored into the metrics registry.
+    // The registry counter is the one the cache counts into.
     let snap = server.metrics().snapshot();
     assert_eq!(snap.counter("serve.cache.invalidations"), Some(1));
 }
@@ -631,17 +605,7 @@ fn metrics_endpoint_returns_live_json() {
 
 use std::io::Write as _;
 
-use culinaria_serve::{arm, ShutdownFlag};
-
-/// A config with tight deadlines for the timeout tests; armed sockets
-/// tick every 25ms, so sub-second deadlines keep the tests fast.
-fn deadline_cfg(read_ms: u64, idle_ms: u64) -> ServeConfig {
-    ServeConfig {
-        read_timeout_ms: read_ms,
-        idle_timeout_ms: idle_ms,
-        ..ServeConfig::default()
-    }
-}
+use culinaria_serve::arm;
 
 #[test]
 fn health_reports_liveness_and_pressure() {
@@ -742,76 +706,4 @@ fn stalled_client_does_not_wedge_other_connections() {
         assert!(rest.starts_with("ERR read-timeout"), "{rest}");
         a.join().expect("conn A thread").expect("clean shed");
     });
-}
-
-#[test]
-fn shutdown_drains_accepted_requests_before_closing() {
-    let world = tiny_world();
-    let server = server_over(&world, ServeConfig::default());
-    let shutdown = ShutdownFlag::new();
-    let (server_side, client_side) = UnixStream::pair().expect("socketpair");
-    arm(&server_side, server.config()).expect("arm");
-    let stats = std::thread::scope(|scope| {
-        let reader = server_side.try_clone().expect("clone");
-        let flag = shutdown.clone();
-        let server_ref = &server;
-        let handle =
-            scope.spawn(move || server_ref.serve_connection_with(reader, server_side, &flag));
-        let mut client = Client::new(client_side);
-        // Pipeline a burst, then pull the plug before reading anything.
-        // Every fully-sent request sits in the kernel buffer, and a
-        // shutdown tick only fires once that buffer is empty — so all
-        // five must still be answered (zero dropped in-flight replies).
-        for id in 1..=5u64 {
-            client.send(&format!("{id} PING")).unwrap();
-        }
-        shutdown.trigger();
-        let mut answered = Vec::new();
-        while let Some((id, rest)) = client.recv().unwrap() {
-            assert_eq!(rest, "OK pong");
-            answered.push(id);
-        }
-        answered.sort_unstable();
-        assert_eq!(answered, vec![1, 2, 3, 4, 5]);
-        handle
-            .join()
-            .expect("server thread")
-            .expect("clean shutdown")
-    });
-    assert_eq!(stats.served, 5);
-    assert_eq!(stats.protocol_errors, 0);
-}
-
-/// With the `serve.write` probe armed, a reply-path failure kills that
-/// connection (reader stops via the dead flag) but never the server.
-#[cfg(feature = "fault-injection")]
-#[test]
-fn injected_write_fault_kills_the_connection_not_the_server() {
-    use culinaria_stats::fault::{self, FaultKind, FaultPlan};
-
-    let world = tiny_world();
-    let server = server_over(&world, deadline_cfg(200, 200));
-    let failed = fault::with_plan(
-        FaultPlan::new().fail("serve.write", 0, FaultKind::Error),
-        || {
-            let (server_side, client_side) = UnixStream::pair().expect("socketpair");
-            arm(&server_side, server.config()).expect("arm");
-            std::thread::scope(|scope| {
-                let reader = server_side.try_clone().expect("clone");
-                let server_ref = &server;
-                let handle = scope.spawn(move || server_ref.serve_connection(reader, server_side));
-                let mut client = Client::new(client_side);
-                client.send("1 PING").unwrap();
-                // The reply path died before the response: EOF, no frame.
-                assert!(client.recv().unwrap().is_none());
-                handle.join().expect("server thread")
-            })
-        },
-    );
-    assert!(failed.is_err(), "injected write fault must surface");
-    // A fresh connection (plan cleared) serves normally.
-    let stats = with_connection(&server, |client| {
-        assert_eq!(client.call(1, "PING").unwrap(), "OK pong");
-    });
-    assert_eq!(stats.served, 1);
 }

@@ -16,7 +16,7 @@
 //! culinaria serve    (--stdio | --socket PATH) [--data DIR] [--threads N]
 //!                    [--batch N] [--cache-entries N] [--max-queue N]
 //!                    [--mc N] [--seed N] [--metrics[=json]]
-//!                    socket only: [--once] [--read-timeout MS] [--write-timeout MS]
+//!                    socket only: [--read-timeout MS] [--write-timeout MS]
 //!                    [--idle-timeout MS] [--max-conns N] [--force-bind]
 //! culinaria regions
 //! ```
@@ -34,7 +34,7 @@ use std::process::ExitCode;
 
 use culinaria::analysis::contribution::top_contributors;
 use culinaria::analysis::generation::{Objective, RecipeGenerator};
-use culinaria::analysis::pairing::OverlapCache;
+use culinaria::analysis::pairing::{novel_pairings, OverlapCache};
 use culinaria::analysis::z_analysis::{analyses_to_frame, try_analyze_cuisine, try_analyze_world};
 use culinaria::analysis::{FlavorViewRef, RecipesViewRef};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
@@ -45,8 +45,8 @@ use culinaria::recipedb::import::{ImportStats, Importer, RawRecipe};
 use culinaria::recipedb::{
     FsyncPolicy, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog, Source,
 };
-use culinaria::serve::protocol::{encode_conn_limit, write_frame};
-use culinaria::serve::{arm, install_signal_handlers, ServeConfig, Server};
+use culinaria::serve::transport::{self, Listener};
+use culinaria::serve::{ServeConfig, Server, ShutdownFlag};
 
 /// Every subcommand and the flags it takes (names without `--`). A
 /// flag missing from a command's list is refused with exit 2, so a
@@ -82,7 +82,6 @@ const COMMANDS: &[(&str, &[&str])] = &[
             "max-queue",
             "mc",
             "seed",
-            "once",
             "metrics",
             "read-timeout",
             "write-timeout",
@@ -829,30 +828,20 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let world = build_world(&cfg);
             let cuisine = world.recipes.cuisine(region);
             let cache = OverlapCache::for_cuisine(&world.flavor, &cuisine);
-            let pool = cache.pool().to_vec();
-            let mut candidates: Vec<(f64, usize, usize, usize, usize)> = Vec::new();
-            for i in 0..pool.len() {
-                for j in (i + 1)..pool.len() {
-                    let overlap = cache.overlap(i as u32, j as u32) as usize;
-                    if overlap == 0 {
-                        continue;
-                    }
-                    let cooc = world.recipes.cooccurrence(pool[i], pool[j]);
-                    candidates.push((overlap as f64 / (1.0 + cooc as f64), overlap, cooc, i, j));
-                }
-            }
-            candidates.sort_by(|a, b| b.0.total_cmp(&a.0));
+            let pool = cache.pool();
+            let candidates =
+                novel_pairings(&cache, world.recipes.recipes().map(|r| r.ingredients()));
             println!(
                 "novel pairings for {} (high overlap, low co-use):",
                 region.name()
             );
-            for &(novelty, overlap, cooc, i, j) in candidates.iter().take(top_k) {
+            for c in candidates.iter().take(top_k) {
                 // The pool comes straight from the overlap cache, so
                 // both ids should be live; a mismatch means the cache
                 // and database went out of sync — report, don't panic.
                 let (a, b) = match (
-                    world.flavor.ingredient(pool[i]),
-                    world.flavor.ingredient(pool[j]),
+                    world.flavor.ingredient(pool[c.i as usize]),
+                    world.flavor.ingredient(pool[c.j as usize]),
                 ) {
                     (Ok(a), Ok(b)) => (&a.name, &b.name),
                     (Err(e), _) | (_, Err(e)) => {
@@ -860,7 +849,10 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
                         return Ok(ExitCode::FAILURE);
                     }
                 };
-                println!("  {novelty:7.1}  {a} + {b}  (overlap {overlap}, co-used {cooc}×)");
+                println!(
+                    "  {:7.1}  {a} + {b}  (overlap {}, co-used {}×)",
+                    c.novelty, c.overlap, c.cooc
+                );
             }
             ExitCode::SUCCESS
         }
@@ -892,28 +884,14 @@ fn decode_artifacts(dir: &str) -> Option<(FlavorDb, RecipeStore)> {
     Some((db, store))
 }
 
-/// Which transport `culinaria serve` listens on. No network — queries
-/// arrive framed over stdin/stdout or a unix-domain socket.
-#[derive(Debug)]
-enum ServeTransport {
-    /// One connection on stdin/stdout; exits at EOF or `QUIT`.
-    Stdio,
-    /// Unix-domain socket at the given path; one thread per connection.
-    Socket(String),
-}
-
 /// Fully validated `culinaria serve` options. Validation happens
 /// *before* any data is opened, so a malformed flag fails fast with
 /// exit code 2 and a message naming the flag.
 #[derive(Debug)]
 struct ServeOptions {
     data_dir: String,
-    transport: ServeTransport,
+    listener: Listener,
     cfg: ServeConfig,
-    /// Accept exactly one socket connection, then exit (smoke tests).
-    once: bool,
-    /// Bind over a socket path even when a live server answers on it.
-    force_bind: bool,
     /// `Some(json)` when `--metrics[=json]` asked for an exit dump.
     metrics_dump: Option<bool>,
 }
@@ -938,38 +916,39 @@ impl ServeOptions {
         if cfg.max_queue == 0 {
             return Err("--max-queue: must be at least 1".to_owned());
         }
-        let transport = match (args.switch("stdio")?, args.flags.get("socket")) {
+        let socket = match (args.switch("stdio")?, args.flags.get("socket")) {
             (true, Some(_)) => return Err("--stdio and --socket are mutually exclusive".to_owned()),
-            (true, None) => ServeTransport::Stdio,
-            (false, Some(path)) if !path.is_empty() => ServeTransport::Socket(path.clone()),
+            (true, None) => None,
+            (false, Some(path)) if !path.is_empty() => Some(path.clone()),
             (false, Some(_)) => return Err("--socket: needs a path".to_owned()),
             (false, None) => return Err("pick a transport: --stdio or --socket PATH".to_owned()),
         };
-        let once = args.switch("once")?;
         let force_bind = args.switch("force-bind")?;
-        if matches!(transport, ServeTransport::Stdio) {
-            // One stream, never armed with deadlines (see deadline.rs):
-            // every socket-only flag would silently do nothing.
-            let socket_only = [
-                "force-bind",
-                "once",
-                "max-conns",
-                "read-timeout",
-                "write-timeout",
-                "idle-timeout",
-            ];
-            if let Some(flag) = socket_only.iter().find(|f| args.flags.contains_key(**f)) {
-                return Err(format!("--{flag} only applies to --socket"));
+        let listener = match socket {
+            Some(path) => Listener::Socket { path, force_bind },
+            None => {
+                // One stream, never armed with deadlines (see
+                // deadline.rs): every socket-only flag would silently
+                // do nothing.
+                let socket_only = [
+                    "force-bind",
+                    "max-conns",
+                    "read-timeout",
+                    "write-timeout",
+                    "idle-timeout",
+                ];
+                if let Some(flag) = socket_only.iter().find(|f| args.flags.contains_key(**f)) {
+                    return Err(format!("--{flag} only applies to --socket"));
+                }
+                Listener::Stdio
             }
-        }
+        };
         Ok(ServeOptions {
             data_dir: args
                 .path("data")?
                 .unwrap_or_else(|| "culinaria-data".to_owned()),
-            transport,
+            listener,
             cfg,
-            once,
-            force_bind,
             metrics_dump: args.metrics_mode()?,
         })
     }
@@ -988,19 +967,16 @@ fn run_serve(opts: &ServeOptions) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
-    let (fbuf, rbuf) = match (
-        AlignedBytes::read_file(&fpath),
-        AlignedBytes::read_file(&rpath),
-    ) {
-        (Ok(f), Ok(r)) => (f, r),
-        (Err(e), _) => {
-            eprintln!("serve: cannot read {fpath}: {e}");
-            return ExitCode::FAILURE;
-        }
-        (_, Err(e)) => {
-            eprintln!("serve: cannot read {rpath}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let read = |path: &str| {
+        AlignedBytes::read_file(path)
+            .map_err(|e| eprintln!("serve: cannot read {path}: {e}"))
+            .ok()
+    };
+    let Some(fbuf) = read(&fpath) else {
+        return ExitCode::FAILURE;
+    };
+    let Some(rbuf) = read(&rpath) else {
+        return ExitCode::FAILURE;
     };
     let flavor = match culinaria::flavordb::artifact::open(fbuf.as_slice()) {
         Ok(f) => f,
@@ -1025,181 +1001,17 @@ fn run_serve(opts: &ServeOptions) -> ExitCode {
         opts.cfg,
         Metrics::enabled(),
     );
-    let code = match &opts.transport {
-        ServeTransport::Stdio => {
-            let stats = server.serve_connection(std::io::stdin().lock(), std::io::stdout());
-            match stats {
-                Ok(stats) => {
-                    eprintln!(
-                        "serve: connection closed ({} served, {} shed, {} protocol errors)",
-                        stats.served, stats.shed, stats.protocol_errors
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("serve: transport error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+    let code = match transport::run(&server, &opts.listener, &ShutdownFlag::new()) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("serve: {e}");
+            ExitCode::FAILURE
         }
-        ServeTransport::Socket(path) => serve_socket(&server, path, opts),
     };
     if let Some(json) = opts.metrics_dump {
-        if json {
-            eprintln!("{}", server.metrics().render_json());
-        } else {
-            eprint!("{}", server.metrics().render_text());
-        }
+        let metrics = server.metrics().clone();
+        MetricsSink { metrics, json }.dump();
     }
-    code
-}
-
-/// How often the accept loop polls for connections and the shutdown
-/// flag, and the base of the accept-failure backoff.
-const ACCEPT_POLL: std::time::Duration = std::time::Duration::from_millis(25);
-
-/// Consecutive accept failures tolerated (with capped exponential
-/// backoff between retries) before the server gives up. Transient
-/// conditions — fd exhaustion, aborted handshakes — clear well inside
-/// this horizon; only a persistently broken listener is fatal.
-const MAX_ACCEPT_ERRORS: u32 = 8;
-
-/// Accept loop for `--socket`, hardened for operation:
-///
-/// * **clobber guard** — an existing socket path is probed first; a
-///   live server on it is refused unless `--force-bind`, a stale file
-///   (dead peer) is removed;
-/// * **graceful shutdown** — SIGINT/SIGTERM stop the accept loop; each
-///   connection sees the flag on its next deadline tick, drains its
-///   accepted requests through the batcher, and replies before closing;
-///   the socket file is unlinked and the process exits 0;
-/// * **connection cap** — over `--max-conns`, a connection gets one
-///   framed `ERR conn-limit` and is dropped;
-/// * **deadlines** — every accepted stream is armed with the configured
-///   read/write/idle timeouts, so a stalled client is shed instead of
-///   wedging its thread;
-/// * **accept resilience** — transient accept failures back off and
-///   retry instead of killing the server.
-fn serve_socket(server: &Server<'_>, path: &str, opts: &ServeOptions) -> ExitCode {
-    use std::os::unix::net::{UnixListener, UnixStream};
-    if std::path::Path::new(path).exists() {
-        // Only replace a socket nobody answers on. A successful connect
-        // means a live server; clobbering it would steal its clients.
-        match UnixStream::connect(path) {
-            Ok(_) if !opts.force_bind => {
-                eprintln!(
-                    "serve: {path}: a live server is answering on this socket; \
-                     refusing to replace it (pass --force-bind to override)"
-                );
-                return ExitCode::FAILURE;
-            }
-            Ok(_) => eprintln!("serve: {path}: replacing a live server (--force-bind)"),
-            Err(_) => {} // stale file from a dead process
-        }
-        if let Err(e) = std::fs::remove_file(path) {
-            eprintln!("serve: cannot remove stale socket {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    let listener = match UnixListener::bind(path) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("serve: cannot bind {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Non-blocking accepts let the loop poll the shutdown flag; the
-    // accepted streams are switched back to blocking (with deadline
-    // timeouts) below.
-    if let Err(e) = listener.set_nonblocking(true) {
-        eprintln!("serve: cannot poll {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let shutdown = install_signal_handlers();
-    eprintln!(
-        "serve: listening on {path}{}",
-        if opts.once { " (one connection)" } else { "" }
-    );
-    let cfg = *server.config();
-    let mut accept_errors = 0u32;
-    let code = std::thread::scope(|scope| {
-        loop {
-            if shutdown.is_triggered() {
-                eprintln!("serve: shutdown signal received; draining connections");
-                break ExitCode::SUCCESS;
-            }
-            let stream = match listener.accept() {
-                Ok((stream, _)) => {
-                    accept_errors = 0;
-                    stream
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                    continue;
-                }
-                Err(e) => {
-                    accept_errors += 1;
-                    if accept_errors >= MAX_ACCEPT_ERRORS {
-                        eprintln!(
-                            "serve: accept failed {accept_errors} times in a row, \
-                             giving up: {e}"
-                        );
-                        break ExitCode::FAILURE;
-                    }
-                    let backoff = ACCEPT_POLL * 2u32.pow(accept_errors.min(6));
-                    eprintln!("serve: accept failed ({e}); retrying in {backoff:?}");
-                    std::thread::sleep(backoff);
-                    continue;
-                }
-            };
-            if cfg.max_conns > 0 && server.active_connections() >= cfg.max_conns as u64 {
-                let mut stream = stream;
-                let _ = write_frame(&mut stream, encode_conn_limit(cfg.max_conns).as_bytes());
-                continue; // dropping the stream closes it
-            }
-            // Arm the per-connection deadlines, and make reads blocking
-            // again so the poll tick (not O_NONBLOCK) paces them.
-            if let Err(e) = stream
-                .set_nonblocking(false)
-                .and_then(|()| arm(&stream, &cfg))
-            {
-                eprintln!("serve: cannot arm connection deadlines: {e}");
-                continue;
-            }
-            let reader = match stream.try_clone() {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("serve: cannot clone socket: {e}");
-                    continue;
-                }
-            };
-            if opts.once {
-                break match server.serve_connection_with(reader, stream, &shutdown) {
-                    Ok(stats) => {
-                        eprintln!(
-                            "serve: connection closed ({} served, {} shed, {} protocol errors)",
-                            stats.served, stats.shed, stats.protocol_errors
-                        );
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("serve: transport error: {e}");
-                        ExitCode::FAILURE
-                    }
-                };
-            }
-            let conn_shutdown = shutdown.clone();
-            scope.spawn(move || {
-                if let Err(e) = server.serve_connection_with(reader, stream, &conn_shutdown) {
-                    eprintln!("serve: transport error: {e}");
-                }
-            });
-        }
-        // Scope exit joins every connection thread: each sees the
-        // shutdown flag on its next deadline tick, drains its queue
-        // through the batcher, and flushes its replies first.
-    });
-    let _ = std::fs::remove_file(path);
     code
 }
 
@@ -1298,10 +1110,10 @@ mod tests {
 
     #[test]
     fn switches_take_no_value() {
-        assert_eq!(parse(&["--once"]).switch("once"), Ok(true));
-        assert_eq!(parse(&["--once", "true"]).switch("once"), Ok(true));
-        assert_eq!(parse(&["--once=false"]).switch("once"), Ok(false));
-        assert_eq!(parse(&[]).switch("once"), Ok(false));
+        assert_eq!(parse(&["--analyze"]).switch("analyze"), Ok(true));
+        assert_eq!(parse(&["--analyze", "true"]).switch("analyze"), Ok(true));
+        assert_eq!(parse(&["--analyze=false"]).switch("analyze"), Ok(false));
+        assert_eq!(parse(&[]).switch("analyze"), Ok(false));
         let err = parse(&["--contrast", "ITA"])
             .switch("contrast")
             .unwrap_err();
@@ -1312,8 +1124,13 @@ mod tests {
 
     #[test]
     fn serve_options_reject_malformed_flags() {
+        let serve_flags = COMMANDS.iter().find(|(n, _)| *n == "serve").unwrap().1;
         let reject = |raw: &[&str], needle: &str| {
-            let err = ServeOptions::from_args(&parse(raw)).unwrap_err();
+            let args = parse(raw);
+            let err = args
+                .only(serve_flags)
+                .and_then(|()| ServeOptions::from_args(&args))
+                .unwrap_err();
             assert!(
                 err.contains(needle),
                 "args {raw:?}: error {err:?} lacks {needle:?}"
@@ -1332,10 +1149,11 @@ mod tests {
         );
         reject(&["--socket"], "--socket");
         reject(&[], "--stdio or --socket");
+        reject(&["--socket", "s", "--once"], "--once: unknown flag");
+        reject(&["--stdio", "--once"], "--once: unknown flag");
         // Socket-only flags are refused on stdio, even with valid values.
         for (flag, value) in [
             ("--force-bind", None),
-            ("--once", None),
             ("--max-conns", Some("3")),
             ("--read-timeout", Some("100")),
             ("--write-timeout", Some("100")),
@@ -1366,13 +1184,17 @@ mod tests {
             "500",
             "--seed",
             "9",
-            "--once",
+            "--force-bind",
             "--metrics=json",
         ]);
         let opts = ServeOptions::from_args(&args).expect("valid flags");
         assert_eq!(opts.data_dir, "d");
-        assert!(
-            matches!(opts.transport, ServeTransport::Socket(ref p) if p == "/tmp/culinaria.sock")
+        assert_eq!(
+            opts.listener,
+            Listener::Socket {
+                path: "/tmp/culinaria.sock".to_owned(),
+                force_bind: true
+            }
         );
         assert_eq!(opts.cfg.threads, 4);
         assert_eq!(opts.cfg.batch_max, 16);
@@ -1380,11 +1202,10 @@ mod tests {
         assert_eq!(opts.cfg.max_queue, 64);
         assert_eq!(opts.cfg.mc_recipes, 500);
         assert_eq!(opts.cfg.seed, 9);
-        assert!(opts.once);
         assert_eq!(opts.metrics_dump, Some(true));
         // Defaults: stdio transport, no dump, ServeConfig::default() knobs.
         let opts = ServeOptions::from_args(&parse(&["--stdio"])).expect("valid flags");
-        assert!(matches!(opts.transport, ServeTransport::Stdio));
+        assert_eq!(opts.listener, Listener::Stdio);
         assert_eq!(opts.metrics_dump, None);
         assert_eq!(opts.cfg.cache_entries, ServeConfig::default().cache_entries);
     }

@@ -638,7 +638,7 @@ fn every_subcommand_refuses_bad_values_and_unknown_flags() {
                 "--data",
                 "d",
             ],
-            "--once only applies to --socket",
+            "--once: unknown flag",
         ),
         (
             &["serve", "--stdio", "--max-conns", "3"],
