@@ -10,25 +10,24 @@
 //! and the `Resolution`s asserted byte-identical, and the batch
 //! importer is asserted bit-identical to the serial importer at 1, 2,
 //! and 8 threads — the speedup carries no behavior drift by
-//! construction. Import timings take the min of interleaved repeats,
-//! since on a 1-core box the adaptive importer and the serial path
-//! run identical code and a single-shot ratio is timer noise.
+//! construction. Both checks run before any timing. Every timing
+//! reports min, median and MAD over `TIME_REPS` interleaved repeats:
+//! on a 1-core box the adaptive importer and the serial path run
+//! identical code, so a single-shot ratio is timer noise.
 //!
 //! Knobs: `CULINARIA_ALIAS_LINES` (default 200000), `CULINARIA_SEED`
 //! (default 2018), `CULINARIA_THREADS` (default 0 = available
 //! parallelism), `CULINARIA_BENCH_OUT` (default `BENCH_alias.json`).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use culinaria_bench::env_or;
+use culinaria_bench::harness::{self, Run};
+use culinaria_bench::{check_args, env_or};
 use culinaria_flavordb::curated::curated_db;
 use culinaria_flavordb::FlavorDb;
 use culinaria_recipedb::import::{Importer, RawRecipe};
 use culinaria_recipedb::{RecipeStore, Region, Source};
-use culinaria_stats::pool;
 use culinaria_text::alias::{AliasResolver, ResolveScratch};
 use culinaria_text::legacy::LegacyAliasResolver;
 
@@ -129,11 +128,14 @@ fn corpus_recipes(corpus: &[String]) -> Vec<RawRecipe> {
         .collect()
 }
 
+/// Timed repeats per path.
+const TIME_REPS: usize = 9;
+
 fn main() {
+    check_args();
     let n_lines: usize = env_or("CULINARIA_ALIAS_LINES", 200_000);
     let seed: u64 = env_or("CULINARIA_SEED", 2018);
     let n_threads: usize = env_or("CULINARIA_THREADS", 0);
-    let out_path: String = env_or("CULINARIA_BENCH_OUT", "BENCH_alias.json".to_string());
 
     let db = curated_db();
     let mut rng = StdRng::seed_from_u64(seed);
@@ -160,7 +162,7 @@ fn main() {
         }
     }
 
-    // Untimed parity sweep: every corpus line, byte-identical output.
+    // Parity sweep: every corpus line, byte-identical output.
     eprintln!("parity sweep: trie vs legacy on full corpus");
     let mut scratch = ResolveScratch::new();
     for line in &corpus {
@@ -177,84 +179,30 @@ fn main() {
         );
     }
 
-    // Timed: legacy string-join matcher, single thread.
-    let t = Instant::now();
-    let mut legacy_matches = 0usize;
-    for line in &corpus {
-        legacy_matches += legacy.resolve(line).matches.len();
-    }
-    let legacy_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Timed: trie resolver, scratch reuse, memo disabled.
-    let t = Instant::now();
-    let mut scratch = ResolveScratch::with_memo_capacity(0);
-    let mut trie_matches = 0usize;
-    for line in &corpus {
-        trie_matches += trie.resolve_with(line, &mut scratch).matches.len();
-    }
-    let trie_ms = t.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(legacy_matches, trie_matches, "match counts diverged");
-
-    // Timed: trie resolver with the memo cache (duplicate-heavy corpus).
-    let t = Instant::now();
-    let mut scratch = ResolveScratch::new();
-    let mut memo_matches = 0usize;
-    for line in &corpus {
-        memo_matches += trie.resolve_with(line, &mut scratch).matches.len();
-    }
-    let memo_ms = t.elapsed().as_secs_f64() * 1e3;
+    // The three timed resolve passes: legacy string-join matcher; trie
+    // with scratch reuse, memo disabled; trie with the memo cache
+    // (duplicate-heavy corpus). Each counts the matches it found.
+    let legacy_pass = || -> usize { corpus.iter().map(|l| legacy.resolve(l).matches.len()).sum() };
+    let trie_pass = |new_scratch: fn() -> ResolveScratch| -> usize {
+        let mut scratch = new_scratch();
+        corpus
+            .iter()
+            .map(|l| trie.resolve_with(l, &mut scratch).matches.len())
+            .sum()
+    };
+    let no_memo = || ResolveScratch::with_memo_capacity(0);
+    let legacy_matches = legacy_pass();
+    assert_eq!(legacy_matches, trie_pass(no_memo), "match counts diverged");
     assert_eq!(
-        legacy_matches, memo_matches,
+        legacy_matches,
+        trie_pass(ResolveScratch::new),
         "memoized match counts diverged"
     );
 
-    let speedup_trie = legacy_ms / trie_ms;
-    let speedup_memo = legacy_ms / memo_ms;
-    eprintln!(
-        "resolve: legacy {legacy_ms:.0} ms, trie {trie_ms:.0} ms ({speedup_trie:.2}x), \
-         trie+memo {memo_ms:.0} ms ({speedup_memo:.2}x)"
-    );
-
-    // Batch import: serial vs adaptive fan-out. On a 1-core box the
-    // adaptive importer resolves to the same inline path as `import`,
-    // so a single-shot ratio is pure timer noise (the old harness
-    // recorded a phantom 0.78x exactly that way) — take the min of
-    // interleaved repeats for both sides instead.
-    const IMPORT_REPS: usize = 9;
+    // Batch import: serial vs adaptive fan-out, asserted bit-identical
+    // at every thread count.
     let raws = corpus_recipes(&corpus);
     let importer = Importer::from_flavor_db(&db);
-    // Each timed run builds and then drops its store: a store kept
-    // alive across reps grows the heap under every later run and
-    // skews the comparison (~2x on this corpus).
-    let mut import_serial_ms = f64::INFINITY;
-    let mut import_batch_ms = f64::INFINITY;
-    let mut timed_serial_stats = None;
-    let mut timed_batch_stats = None;
-    for rep in 0..IMPORT_REPS {
-        let t = Instant::now();
-        let mut store = RecipeStore::new();
-        let stats = importer
-            .import(&db, &mut store, &raws)
-            .expect("serial import");
-        let serial_rep = t.elapsed().as_secs_f64() * 1e3;
-        import_serial_ms = import_serial_ms.min(serial_rep);
-        timed_serial_stats.get_or_insert(stats);
-        drop(store);
-
-        let t = Instant::now();
-        let mut store = RecipeStore::new();
-        let stats = importer
-            .import_batch(&db, &mut store, &raws, n_threads)
-            .expect("batch import");
-        let batch_rep = t.elapsed().as_secs_f64() * 1e3;
-        import_batch_ms = import_batch_ms.min(batch_rep);
-        timed_batch_stats.get_or_insert(stats);
-        drop(store);
-        eprintln!("import rep {rep}: serial {serial_rep:.1} ms, batch {batch_rep:.1} ms");
-    }
-    let import_speedup = import_serial_ms / import_batch_ms;
-
-    // Untimed reference runs for the cross-thread parity sweep below.
     let mut serial_store = RecipeStore::new();
     let serial_stats = importer
         .import(&db, &mut serial_store, &raws)
@@ -263,8 +211,6 @@ fn main() {
     let batch_stats = importer
         .import_batch(&db, &mut batch_store, &raws, n_threads)
         .expect("batch import");
-    assert_eq!(timed_serial_stats.as_ref(), Some(&serial_stats));
-    assert_eq!(timed_batch_stats.as_ref(), Some(&batch_stats));
     assert_eq!(batch_stats, serial_stats, "batch import stats diverged");
 
     for threads in [1usize, 2, 8] {
@@ -281,45 +227,79 @@ fn main() {
             assert_eq!(a, b, "imported recipe diverged at {threads} threads");
         }
     }
+
+    let [legacy_t, trie_t, memo_t] = harness::time_ms(
+        TIME_REPS,
+        [
+            &mut || legacy_pass(),
+            &mut || trie_pass(no_memo),
+            &mut || trie_pass(ResolveScratch::new),
+        ],
+    );
+    let (legacy_ms, trie_ms, memo_ms) = (legacy_t.min(), trie_t.min(), memo_t.min());
+    let speedup_trie = legacy_ms / trie_ms;
+    let speedup_memo = legacy_ms / memo_ms;
     eprintln!(
-        "import: serial {import_serial_ms:.0} ms vs batch({} threads) {import_batch_ms:.0} ms \
-         -> {import_speedup:.2}x; {} recipes stored",
-        pool::effective_threads(n_threads),
+        "resolve: legacy {legacy_ms:.0} ms, trie {trie_ms:.0} ms ({speedup_trie:.2}x), \
+         trie+memo {memo_ms:.0} ms ({speedup_memo:.2}x)"
+    );
+
+    // Each timed import returns its store, which the harness drops
+    // after the clock stops: a store kept alive across reps grows the
+    // heap under every later run and skews the comparison (~2x on this
+    // corpus). Every timed import must reproduce the reference stats.
+    let [import_serial, import_batch] = harness::time_ms(
+        TIME_REPS,
+        [
+            &mut || {
+                let mut store = RecipeStore::new();
+                let stats = importer.import(&db, &mut store, &raws);
+                assert_eq!(stats.as_ref(), Ok(&serial_stats));
+                store
+            },
+            &mut || {
+                let mut store = RecipeStore::new();
+                let stats = importer.import_batch(&db, &mut store, &raws, n_threads);
+                assert_eq!(stats.as_ref(), Ok(&batch_stats));
+                store
+            },
+        ],
+    );
+    let import_speedup = import_serial.min() / import_batch.min();
+    eprintln!(
+        "import: serial {:.0} ms vs batch {:.0} ms -> {import_speedup:.2}x; \
+         {} recipes stored",
+        import_serial.min(),
+        import_batch.min(),
         batch_store.n_recipes()
     );
 
     let lines_per_s = |ms: f64| corpus.len() as f64 / (ms / 1e3);
-    let json = format!(
-        "{{\n  \"bench\": \"alias_resolution\",\n  \"n_lines\": {n_lines},\n  \
-         \"n_distinct_lines\": {n_distinct},\n  \"n_lexicon\": {n_lexicon},\n  \
-         \"n_synonyms\": {n_synonyms},\n  \"seed\": {seed},\n  \
-         \"n_threads_requested\": {n_threads},\n  \"n_threads_effective\": {eff},\n  \
-         \"available_cores\": {cores},\n  \
-         \"legacy_resolve_ms\": {legacy_ms:.3},\n  \
-         \"trie_resolve_ms\": {trie_ms:.3},\n  \
-         \"trie_memo_resolve_ms\": {memo_ms:.3},\n  \
-         \"legacy_lines_per_s\": {legacy_tp:.0},\n  \
-         \"trie_lines_per_s\": {trie_tp:.0},\n  \
-         \"trie_memo_lines_per_s\": {memo_tp:.0},\n  \
-         \"speedup_trie\": {speedup_trie:.3},\n  \
-         \"speedup_trie_memo\": {speedup_memo:.3},\n  \
-         \"import_serial_ms\": {import_serial_ms:.3},\n  \
-         \"import_batch_ms\": {import_batch_ms:.3},\n  \
-         \"import_speedup\": {import_speedup:.3},\n  \
-         \"import_mode\": \"{import_mode}\",\n  \
-         \"import_reps\": {IMPORT_REPS},\n  \
-         \"parity\": \"byte-identical\"\n}}\n",
-        import_mode = batch_stats.mode,
-        n_distinct = pool_lines.len(),
-        n_lexicon = trie.n_canonical(),
-        n_synonyms = trie.n_synonyms(),
-        eff = pool::effective_threads(n_threads),
-        cores = std::thread::available_parallelism().map_or(1, |n| n.get()),
-        legacy_tp = lines_per_s(legacy_ms),
-        trie_tp = lines_per_s(trie_ms),
-        memo_tp = lines_per_s(memo_ms),
-    );
-    std::fs::write(&out_path, &json).expect("write bench summary");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    let run = Run {
+        seed,
+        scale: None,
+        threads: n_threads,
+        reps: TIME_REPS,
+    };
+    harness::summary("alias_resolution", run)
+        .set("n_lines", n_lines)
+        .set("n_distinct_lines", pool_lines.len())
+        .set("n_lexicon", trie.n_canonical())
+        .set("n_synonyms", trie.n_synonyms())
+        .set("n_threads_requested", n_threads)
+        .stat("legacy_resolve_ms", &legacy_t)
+        .stat("trie_resolve_ms", &trie_t)
+        .stat("trie_memo_resolve_ms", &memo_t)
+        .set("legacy_lines_per_s", lines_per_s(legacy_ms).round())
+        .set("trie_lines_per_s", lines_per_s(trie_ms).round())
+        .set("trie_memo_lines_per_s", lines_per_s(memo_ms).round())
+        .set("speedup_trie", speedup_trie)
+        .set("speedup_trie_memo", speedup_memo)
+        .stat("import_serial_ms", &import_serial)
+        .stat("import_batch_ms", &import_batch)
+        .set("import_speedup", import_speedup)
+        .set("import_mode", batch_stats.mode.to_string())
+        .set("import_reps", TIME_REPS)
+        .set("parity", "byte-identical")
+        .write("BENCH_alias.json");
 }

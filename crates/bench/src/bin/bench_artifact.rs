@@ -21,14 +21,17 @@
 //!   the same `analyze_world` from the borrowed views, fingerprinted over
 //!   every `f64::to_bits`, asserted identical at 1/2/4/8 threads.
 //!
+//! Every parity assert runs before the timings; each timing reports
+//! min, median and MAD over `TIME_REPS` interleaved repeats.
+//!
 //! Writes `BENCH_artifact.json`. Knobs: `CULINARIA_SCALE`,
 //! `CULINARIA_SEED`, `CULINARIA_ARTIFACT_MC` (Monte-Carlo recipes per
 //! model for the parity runs, default 2000), `CULINARIA_BENCH_OUT`.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use culinaria_bench::{env_or, world_from_env};
+use culinaria_bench::harness::{self, Obj, Run};
+use culinaria_bench::{check_args, env_or, generate_logged, world_config_from_env};
 use culinaria_core::{
     analyze_world, region_overlap_cache, CuisineAnalysis, CuisineView, FlavorViewRef,
     MonteCarloConfig, NullModel, OverlapCache,
@@ -37,21 +40,11 @@ use culinaria_flavordb::{artifact as flavor_artifact, AlignedBytes, FlavorArtifa
 use culinaria_obs::Metrics;
 use culinaria_recipedb::{artifact as recipe_artifact, RecipeArtifactBuilder};
 
-/// Timed repeats per path; the min is reported.
+/// Timed repeats per path.
 const TIME_REPS: usize = 5;
 
-/// Min-of-`TIME_REPS` per-iteration wall time in milliseconds.
-fn time_min_ms<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..TIME_REPS {
-        let t = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(t.elapsed().as_secs_f64() * 1e3 / iters as f64);
-    }
-    best
-}
+/// Borrowed opens per timed sample: one takes well under a millisecond.
+const OPEN_ITERS: usize = 64;
 
 /// Heap bytes of the owned in-memory representation: every `String`
 /// and `Vec` payload plus its 24-byte (ptr, len, cap) header, plus the
@@ -126,11 +119,11 @@ fn first_query(flavor: FlavorViewRef<'_>, cuisine: &CuisineView<'_>) -> f64 {
 }
 
 fn main() {
-    let seed: u64 = env_or("CULINARIA_SEED", 2018);
+    check_args();
+    let world_cfg = world_config_from_env(1.0);
+    let seed = world_cfg.seed;
     let mc_recipes: usize = env_or("CULINARIA_ARTIFACT_MC", 2_000);
-    let out_path: String = env_or("CULINARIA_BENCH_OUT", "BENCH_artifact.json".to_string());
-
-    let world = world_from_env();
+    let world = generate_logged(&world_cfg);
 
     // ---- serialize -------------------------------------------------
     let mut builder = FlavorArtifactBuilder::new(&world.flavor);
@@ -164,37 +157,7 @@ fn main() {
         n_sections,
     );
 
-    // ---- open time: owned decode vs validate-and-borrow ------------
-    // Interleaved min-of-N; each sample opens BOTH databases so the
-    // two paths do comparable logical work.
-    let mut decode_ms = f64::INFINITY;
-    let mut open_ms = f64::INFINITY;
-    for _ in 0..TIME_REPS {
-        decode_ms = decode_ms.min(time_min_ms(1, || {
-            let db = flavor_artifact::open(flavor_art.as_slice())
-                .expect("open")
-                .to_flavor_db()
-                .expect("decode");
-            let store = recipe_artifact::open(recipe_art.as_slice())
-                .expect("open")
-                .to_recipe_store()
-                .expect("decode");
-            (db.n_ingredients(), store.n_recipes())
-        }));
-        open_ms = open_ms.min(time_min_ms(64, || {
-            let db = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
-            let store = recipe_artifact::open(recipe_art.as_slice()).expect("open v2");
-            (db.n_ingredients(), store.n_recipes())
-        }));
-    }
-    let open_speedup = decode_ms / open_ms;
-    eprintln!("open: owned decode {decode_ms:.3} ms, borrow {open_ms:.4} ms -> {open_speedup:.0}x");
-    assert!(
-        open_speedup >= 12.0,
-        "borrowed open must be >=12x faster than the owned decode, got {open_speedup:.1}x"
-    );
-
-    // ---- first-query latency: section reuse vs kernel build -------
+    // ---- first-query parity: section reuse vs kernel build ------
     let fview = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
     let fview_bare = flavor_artifact::open(flavor_art_bare.as_slice()).expect("open v2");
     let rview = recipe_artifact::open(recipe_art.as_slice()).expect("open v2");
@@ -210,26 +173,6 @@ fn main() {
         with_sections.to_bits(),
         without_sections.to_bits(),
         "section-reused mean must be bit-identical to the kernel build"
-    );
-    let reuse_ms = time_min_ms(3, || first_query(FlavorViewRef::Artifact(&fview), &cuisine));
-    let build_ms = time_min_ms(3, || {
-        first_query(FlavorViewRef::Artifact(&fview_bare), &cuisine)
-    });
-    eprintln!(
-        "first query ({}): section reuse {reuse_ms:.3} ms, kernel build {build_ms:.3} ms",
-        largest.code()
-    );
-
-    // ---- resident bytes -------------------------------------------
-    // Owned: what the owned decode allocates on the heap (content
-    // accounting). Borrowed: the artifact buffers ARE the resident
-    // set; opening a view allocates nothing.
-    let owned_resident = owned_heap_bytes(&world.flavor, &world.recipes);
-    let borrowed_bytes = flavor_art.as_slice().len() + recipe_art.as_slice().len();
-    let bare_bytes = flavor_art_bare.as_slice().len() + recipe_art.as_slice().len();
-    eprintln!(
-        "resident: owned heap {owned_resident} B, borrowed buffers {borrowed_bytes} B \
-         ({bare_bytes} B without overlap sections)"
     );
 
     // ---- parity: owned vs borrowed world analysis, 1/2/4/8 threads
@@ -252,33 +195,102 @@ fn main() {
         );
         eprintln!("parity: {threads} threads, fingerprint {fp_owned:016x} (owned == borrowed)");
         prints.push(fp_owned);
-        parity_rows.push(format!(
-            "    {{ \"threads\": {threads}, \"fingerprint\": \"{fp_owned:016x}\", \
-             \"owned_equals_borrowed\": true }}"
-        ));
+        parity_rows.push(
+            Obj::default()
+                .set("threads", threads)
+                .set("fingerprint", format!("{fp_owned:016x}"))
+                .set("owned_equals_borrowed", true),
+        );
     }
     assert!(
         prints.windows(2).all(|w| w[0] == w[1]),
         "world analysis fingerprint must not depend on thread count"
     );
 
-    let json = format!(
-        "{{\n  \"bench\": \"artifact_open\",\n  \"seed\": {seed},\n  \
-         \"time_reps\": {TIME_REPS},\n  \"mc_recipes\": {mc_recipes},\n  \
-         \"v2_bytes\": {borrowed_bytes},\n  \
-         \"overlap_sections\": {n_sections},\n  \
-         \"owned_decode_ms\": {decode_ms:.4},\n  \"borrowed_open_ms\": {open_ms:.5},\n  \
-         \"open_speedup\": {open_speedup:.1},\n  \
-         \"first_query_section_reuse_ms\": {reuse_ms:.4},\n  \
-         \"first_query_kernel_build_ms\": {build_ms:.4},\n  \
-         \"first_query_parity\": \"bit-identical\",\n  \
-         \"owned_resident_bytes\": {owned_resident},\n  \
-         \"borrowed_resident_bytes\": {borrowed_bytes},\n  \
-         \"borrowed_resident_bytes_no_sections\": {bare_bytes},\n  \
-         \"world_parity\": [\n{rows}\n  ]\n}}\n",
-        rows = parity_rows.join(",\n"),
+    // ---- open time: owned decode vs validate-and-borrow ------------
+    // Each sample opens BOTH databases so the two paths do comparable
+    // logical work.
+    let [decode, open] = harness::time_ms(
+        TIME_REPS,
+        [
+            &mut || {
+                let db = flavor_artifact::open(flavor_art.as_slice())
+                    .expect("open")
+                    .to_flavor_db()
+                    .expect("decode");
+                let store = recipe_artifact::open(recipe_art.as_slice())
+                    .expect("open")
+                    .to_recipe_store()
+                    .expect("decode");
+                black_box((db.n_ingredients(), store.n_recipes()));
+            },
+            &mut || {
+                for _ in 0..OPEN_ITERS {
+                    let db = flavor_artifact::open(flavor_art.as_slice()).expect("open v2");
+                    let store = recipe_artifact::open(recipe_art.as_slice()).expect("open v2");
+                    black_box((db.n_ingredients(), store.n_recipes()));
+                }
+            },
+        ],
     );
-    std::fs::write(&out_path, &json).expect("write bench summary");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    let open = open.per(OPEN_ITERS);
+    let open_speedup = decode.min() / open.min();
+    eprintln!(
+        "open: owned decode {:.3} ms, borrow {:.4} ms -> {open_speedup:.0}x",
+        decode.min(),
+        open.min()
+    );
+    assert!(
+        open_speedup >= 12.0,
+        "borrowed open must be >=12x faster than the owned decode, got {open_speedup:.1}x"
+    );
+
+    // ---- first-query latency: section reuse vs kernel build -------
+    let [reuse, build] = harness::time_ms(
+        TIME_REPS,
+        [
+            &mut || first_query(FlavorViewRef::Artifact(&fview), &cuisine),
+            &mut || first_query(FlavorViewRef::Artifact(&fview_bare), &cuisine),
+        ],
+    );
+    eprintln!(
+        "first query ({}): section reuse {:.3} ms, kernel build {:.3} ms",
+        largest.code(),
+        reuse.min(),
+        build.min()
+    );
+
+    // ---- resident bytes -------------------------------------------
+    // Owned: what the owned decode allocates on the heap (content
+    // accounting). Borrowed: the artifact buffers ARE the resident
+    // set; opening a view allocates nothing.
+    let owned_resident = owned_heap_bytes(&world.flavor, &world.recipes);
+    let borrowed_bytes = flavor_art.as_slice().len() + recipe_art.as_slice().len();
+    let bare_bytes = flavor_art_bare.as_slice().len() + recipe_art.as_slice().len();
+    eprintln!(
+        "resident: owned heap {owned_resident} B, borrowed buffers {borrowed_bytes} B \
+         ({bare_bytes} B without overlap sections)"
+    );
+
+    let run = Run {
+        seed,
+        scale: Some(world_cfg.recipe_scale),
+        threads: 0,
+        reps: TIME_REPS,
+    };
+    harness::summary("artifact_open", run)
+        .set("mc_recipes", mc_recipes)
+        .set("v2_bytes", borrowed_bytes)
+        .set("overlap_sections", n_sections)
+        .stat("owned_decode_ms", &decode)
+        .stat("borrowed_open_ms", &open)
+        .set("open_speedup", open_speedup)
+        .stat("first_query_section_reuse_ms", &reuse)
+        .stat("first_query_kernel_build_ms", &build)
+        .set("first_query_parity", "bit-identical")
+        .set("owned_resident_bytes", owned_resident)
+        .set("borrowed_resident_bytes", borrowed_bytes)
+        .set("borrowed_resident_bytes_no_sections", bare_bytes)
+        .set("world_parity", parity_rows)
+        .write("BENCH_artifact.json");
 }

@@ -11,30 +11,33 @@
 //! asserts the two produce **bit-identical** null ensembles — the
 //! speedup is free of numerical drift by construction. A final sweep
 //! re-times the optimized pipeline at 1/2/4/8 workers (`scaling` in
-//! the JSON), asserting bit-parity at every point.
+//! the JSON), asserting bit-parity at every point. Every assert runs
+//! before the paths it checks are timed.
 //!
 //! Knobs: `CULINARIA_SCALE` (default 0.1), `CULINARIA_MC` (default
 //! 20000), `CULINARIA_SEED` (default 2018), `CULINARIA_THREADS`
 //! (default 0 = available parallelism), `CULINARIA_BENCH_OUT`
 //! (default `BENCH_fig4.json`).
 
-use std::time::Instant;
+use std::hint::black_box;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use culinaria_bench::env_or;
+use culinaria_bench::harness::{self, Run};
+use culinaria_bench::{check_args, env_or, generate_logged, world_config_from_env};
 use culinaria_core::monte_carlo::MonteCarloConfig;
 use culinaria_core::null_models::{CuisineSampler, NullModel};
 use culinaria_core::pairing::OverlapCache;
-use culinaria_core::z_analysis::analyze_world;
-use culinaria_datagen::{generate_world, WorldConfig};
+use culinaria_core::z_analysis::{analyze_world, CuisineAnalysis};
 use culinaria_flavordb::FlavorDb;
 use culinaria_obs::Metrics;
 use culinaria_recipedb::{Cuisine, RecipeStore};
-use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
 use culinaria_stats::{NullEnsemble, RunningStats};
+
+/// Timed repeats per path.
+const TIME_REPS: usize = 5;
 
 /// Per-region state shared by both timed paths, prepared up front so
 /// neither path is charged for the other's scaffolding.
@@ -117,77 +120,84 @@ fn baseline_monte_carlo(
         .collect()
 }
 
+/// The optimized overlap build: bitset pack + pooled triangle sweep,
+/// per region, checksummed like [`sorted_merge_sweep`].
+fn bitset_sweep(db: &FlavorDb, prepared: &[Prepared<'_>], n_threads: usize) -> u64 {
+    let mut checksum = 0u64;
+    for p in prepared {
+        let pool = p.cuisine.ingredient_set();
+        let cache = OverlapCache::try_build(db, &pool, n_threads, &Metrics::disabled())
+            .expect("cuisine pools hold live ingredients");
+        for i in 0..cache.len() as u32 {
+            for j in (i + 1)..cache.len() as u32 {
+                checksum += u64::from(cache.overlap(i, j));
+            }
+        }
+    }
+    checksum
+}
+
+/// Assert two world analyses agree to the bit.
+fn assert_same_analysis(a: &[CuisineAnalysis], b: &[CuisineAnalysis], threads: usize) {
+    assert_eq!(a.len(), b.len());
+    for (a, b) in a.iter().zip(b) {
+        assert_eq!(a.region, b.region);
+        assert_eq!(
+            a.observed_mean.to_bits(),
+            b.observed_mean.to_bits(),
+            "{}: observed mean diverges on {threads} threads",
+            a.region.code()
+        );
+        for (x, y) in a.comparisons.iter().zip(&b.comparisons) {
+            assert_eq!(
+                x.null.mean.to_bits(),
+                y.null.mean.to_bits(),
+                "{} {}: ensemble diverges on {threads} threads",
+                a.region.code(),
+                x.model
+            );
+            assert_eq!(x.null.std_dev.to_bits(), y.null.std_dev.to_bits());
+        }
+    }
+}
+
 fn main() {
-    let scale: f64 = env_or("CULINARIA_SCALE", 0.1);
-    let seed: u64 = env_or("CULINARIA_SEED", 2018);
+    check_args();
+    let world_cfg = world_config_from_env(0.1);
+    let (scale, seed) = (world_cfg.recipe_scale, world_cfg.seed);
     let n_threads: usize = env_or("CULINARIA_THREADS", 0);
-    let out_path: String = env_or("CULINARIA_BENCH_OUT", "BENCH_fig4.json".to_string());
-    let mut world_cfg = WorldConfig::paper();
-    world_cfg.recipe_scale = scale;
-    world_cfg.seed = seed;
     let cfg = MonteCarloConfig {
         n_recipes: env_or("CULINARIA_MC", 20_000),
         seed,
         n_threads,
     };
     let models = NullModel::ALL;
-
-    eprintln!("generating world: scale {scale}, seed {seed}");
-    let world = generate_world(&world_cfg);
-    eprintln!("world ready: {} recipes", world.recipes.n_recipes());
+    let world = generate_logged(&world_cfg);
 
     let prepared = prepare(&world.flavor, &world.recipes, cfg.seed);
     let n_regions = prepared.len();
-
-    // Baseline build: the seed's serial sorted-merge sweep, per region.
-    let t = Instant::now();
-    let mut sweep_checksum = 0u64;
-    for p in &prepared {
-        sweep_checksum += sorted_merge_sweep(&world.flavor, &p.cuisine);
-    }
-    let baseline_build_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Optimized build: bitset pack + pooled triangle sweep, per region.
-    let t = Instant::now();
-    let mut bitset_checksum = 0u64;
-    for p in &prepared {
-        let pool = p.cuisine.ingredient_set();
-        let cache = OverlapCache::try_build(&world.flavor, &pool, n_threads, &Metrics::disabled())
-            .expect("cuisine pools hold live ingredients");
-        for i in 0..cache.len() as u32 {
-            for j in (i + 1)..cache.len() as u32 {
-                bitset_checksum += u64::from(cache.overlap(i, j));
-            }
-        }
-    }
-    let optimized_build_ms = t.elapsed().as_secs_f64() * 1e3;
+    let baseline_build = || -> u64 {
+        prepared
+            .iter()
+            .map(|p| sorted_merge_sweep(&world.flavor, &p.cuisine))
+            .sum()
+    };
+    let optimized_build = || bitset_sweep(&world.flavor, &prepared, n_threads);
     assert_eq!(
-        sweep_checksum, bitset_checksum,
+        baseline_build(),
+        optimized_build(),
         "bitset and sorted-merge overlap tables disagree"
     );
 
-    // Baseline Monte-Carlo: serial, allocating per sampled recipe.
+    // Parity: both Monte-Carlo paths consume identical PRNG streams, so
+    // every null ensemble must be bit-identical.
     eprintln!(
-        "baseline: serial Monte-Carlo, {} recipes x {} models x {} regions",
+        "parity: serial baseline vs analyze_world, {} recipes x {} models x {n_regions} regions",
         cfg.n_recipes,
         models.len(),
-        n_regions
     );
-    let t = Instant::now();
     let baseline = baseline_monte_carlo(&prepared, &models, &cfg);
-    let baseline_mc_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Optimized end-to-end: analyze_world (its own builds + pooled MC).
-    eprintln!(
-        "optimized: analyze_world on {} threads",
-        pool::effective_threads(n_threads)
-    );
-    let t = Instant::now();
     let analyses = analyze_world(&world.flavor, &world.recipes, &models, &cfg);
-    let optimized_wall_ms = t.elapsed().as_secs_f64() * 1e3;
-
-    // Parity: both paths consumed identical PRNG streams, so every null
-    // ensemble must be bit-identical.
     assert_eq!(analyses.len(), baseline.len());
     for (a, b_models) in analyses.iter().zip(&baseline) {
         for (c, b) in a.comparisons.iter().zip(b_models) {
@@ -202,80 +212,56 @@ fn main() {
         }
     }
 
-    let baseline_wall_ms = baseline_build_ms + baseline_mc_ms;
-    let speedup = baseline_wall_ms / optimized_wall_ms;
+    let [baseline_build_t, optimized_build_t] = harness::time_ms(
+        TIME_REPS,
+        [&mut || baseline_build(), &mut || optimized_build()],
+    );
+    let [baseline_mc, optimized_wall] = harness::time_ms(
+        TIME_REPS,
+        [
+            &mut || _ = black_box(baseline_monte_carlo(&prepared, &models, &cfg)),
+            &mut || _ = black_box(analyze_world(&world.flavor, &world.recipes, &models, &cfg)),
+        ],
+    );
+    let baseline_wall_ms = baseline_build_t.min() + baseline_mc.min();
+    let speedup = baseline_wall_ms / optimized_wall.min();
     eprintln!(
-        "baseline {baseline_wall_ms:.0} ms (build {baseline_build_ms:.0} + mc {baseline_mc_ms:.0}) \
-         vs optimized {optimized_wall_ms:.0} ms -> {speedup:.2}x"
+        "baseline {baseline_wall_ms:.0} ms (build {:.0} + mc {:.0}) vs optimized {:.0} ms \
+         -> {speedup:.2}x",
+        baseline_build_t.min(),
+        baseline_mc.min(),
+        optimized_wall.min()
     );
 
-    // Thread-scaling sweep: the full optimized pipeline at 1/2/4/8
-    // workers, every point checked bit-identical against the reference
-    // run above (the determinism contract, now *measured*).
-    let mut scaling = Vec::new();
-    let mut wall_at_1 = f64::NAN;
-    for threads in [1usize, 2, 4, 8] {
-        let sweep_cfg = MonteCarloConfig {
-            n_threads: threads,
-            ..cfg
-        };
-        let t = Instant::now();
-        let sweep = analyze_world(&world.flavor, &world.recipes, &models, &sweep_cfg);
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(sweep.len(), analyses.len());
-        for (a, b) in sweep.iter().zip(&analyses) {
-            assert_eq!(a.region, b.region);
-            assert_eq!(
-                a.observed_mean.to_bits(),
-                b.observed_mean.to_bits(),
-                "{}: observed mean diverges on {threads} threads",
-                a.region.code()
-            );
-            for (x, y) in a.comparisons.iter().zip(&b.comparisons) {
-                assert_eq!(
-                    x.null.mean.to_bits(),
-                    y.null.mean.to_bits(),
-                    "{} {}: ensemble diverges on {threads} threads",
-                    a.region.code(),
-                    x.model
-                );
-                assert_eq!(x.null.std_dev.to_bits(), y.null.std_dev.to_bits());
-            }
-        }
-        if threads == 1 {
-            wall_at_1 = wall_ms;
-        }
-        eprintln!(
-            "scaling: {threads} threads -> {wall_ms:.0} ms ({:.2}x vs 1 thread)",
-            wall_at_1 / wall_ms
-        );
-        scaling.push(format!(
-            "    {{ \"threads\": {threads}, \"wall_ms\": {wall_ms:.3}, \
-             \"speedup_vs_1\": {sp:.3}, \"parity\": \"bit-identical\" }}",
-            sp = wall_at_1 / wall_ms,
-        ));
-    }
-
-    let json = format!(
-        "{{\n  \"bench\": \"fig4_world_analysis\",\n  \"n_regions\": {n_regions},\n  \
-         \"n_models\": {n_models},\n  \"n_recipes_per_model\": {n_recipes},\n  \
-         \"recipe_scale\": {scale},\n  \"seed\": {seed},\n  \
-         \"n_threads_requested\": {n_threads},\n  \"n_threads_effective\": {eff},\n  \
-         \"available_cores\": {cores},\n  \
-         \"baseline_build_ms\": {baseline_build_ms:.3},\n  \
-         \"optimized_build_ms\": {optimized_build_ms:.3},\n  \
-         \"baseline_mc_ms\": {baseline_mc_ms:.3},\n  \
-         \"baseline_wall_ms\": {baseline_wall_ms:.3},\n  \
-         \"optimized_wall_ms\": {optimized_wall_ms:.3},\n  \
-         \"speedup\": {speedup:.3},\n  \"scaling\": [\n{scaling}\n  ],\n  \
-         \"parity\": \"bit-identical\"\n}}\n",
-        n_models = models.len(),
-        n_recipes = cfg.n_recipes,
-        eff = pool::effective_threads(n_threads),
-        cores = std::thread::available_parallelism().map_or(1, |n| n.get()),
-        scaling = scaling.join(",\n"),
+    // The determinism contract, measured: every thread count is
+    // bit-identical to the reference run above.
+    let scaling = harness::scaling(
+        TIME_REPS,
+        |n_threads| {
+            let cfg = MonteCarloConfig { n_threads, ..cfg };
+            analyze_world(&world.flavor, &world.recipes, &models, &cfg)
+        },
+        |threads, sweep| assert_same_analysis(&sweep, &analyses, threads),
     );
-    std::fs::write(&out_path, &json).expect("write bench summary");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+
+    let run = Run {
+        seed,
+        scale: Some(scale),
+        threads: n_threads,
+        reps: TIME_REPS,
+    };
+    harness::summary("fig4_world_analysis", run)
+        .set("n_regions", n_regions)
+        .set("n_models", models.len())
+        .set("n_recipes_per_model", cfg.n_recipes)
+        .set("n_threads_requested", n_threads)
+        .stat("baseline_build_ms", &baseline_build_t)
+        .stat("optimized_build_ms", &optimized_build_t)
+        .stat("baseline_mc_ms", &baseline_mc)
+        .set("baseline_wall_ms", baseline_wall_ms)
+        .stat("optimized_wall_ms", &optimized_wall)
+        .set("speedup", speedup)
+        .set("scaling", scaling)
+        .set("parity", "bit-identical")
+        .write("BENCH_fig4.json");
 }

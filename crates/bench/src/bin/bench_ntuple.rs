@@ -13,25 +13,24 @@
 //! Parity is asserted to the bit on every score and every ensemble,
 //! and the pooled ensembles are re-run — and now *timed* — on 1, 2, 4
 //! and 8 threads, producing a `scaling` curve with a parity flag at
-//! every point. The summary lands in `BENCH_ntuple.json`.
+//! every point. Every assert runs before the paths it checks are
+//! timed. The summary lands in `BENCH_ntuple.json`.
 //!
 //! Knobs: `CULINARIA_SCALE` (default 0.1), `CULINARIA_NTUPLE_MC`
 //! (default 10000), `CULINARIA_SEED` (default 2018),
 //! `CULINARIA_THREADS` (default 0 = available parallelism),
 //! `CULINARIA_BENCH_OUT` (default `BENCH_ntuple.json`).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use culinaria_bench::env_or;
+use culinaria_bench::harness::{self, Obj, Run};
+use culinaria_bench::{check_args, env_or, generate_logged, world_config_from_env};
 use culinaria_core::monte_carlo::MonteCarloConfig;
 use culinaria_core::ntuple::{self, ktuple_null_ensemble, mean_cuisine_ktuple_score, KTupleScorer};
 use culinaria_core::null_models::{CuisineSampler, NullModel};
-use culinaria_datagen::{generate_world, WorldConfig};
+use culinaria_datagen::World;
 use culinaria_recipedb::Region;
-use culinaria_stats::pool;
 use culinaria_stats::rng::{derive_seed, derive_seed_labeled};
 use culinaria_stats::{NullEnsemble, RunningStats};
 
@@ -65,42 +64,66 @@ fn baseline_ktuple_ensemble(
     NullEnsemble::from_running(&total)
 }
 
-/// Timings of one order k, both paths.
-struct KReport {
-    k: usize,
-    baseline_observed_ms: f64,
-    optimized_observed_ms: f64,
-    baseline_mc_ms: f64,
-    optimized_mc_ms: f64,
+/// Timed repeats per path: the frozen walker's ensembles take seconds.
+const TIME_REPS: usize = 3;
+
+/// A region with a usable sampler and its salted run seed.
+type Regions = [(Region, CuisineSampler, u64)];
+
+/// Mean N_s^(k) of every region, by the frozen walker or the kernel.
+fn observed(world: &World, regions: &Regions, k: usize, kernel: Option<usize>) -> Vec<f64> {
+    let score = |region: Region| {
+        let cuisine = world.recipes.cuisine(region);
+        match kernel {
+            Some(threads) => mean_cuisine_ktuple_score(&world.flavor, &cuisine, k, threads),
+            None => ntuple::reference::mean_cuisine_ktuple_score(&world.flavor, &cuisine, k),
+        }
+    };
+    regions
+        .iter()
+        .map(|(region, _, _)| score(*region))
+        .collect()
 }
 
-impl KReport {
-    fn baseline_wall_ms(&self) -> f64 {
-        self.baseline_observed_ms + self.baseline_mc_ms
-    }
-    fn optimized_wall_ms(&self) -> f64 {
-        self.optimized_observed_ms + self.optimized_mc_ms
-    }
-    fn speedup(&self) -> f64 {
-        self.baseline_wall_ms() / self.optimized_wall_ms()
-    }
+/// The Random-model null of every region, by the frozen walker
+/// (serial blocks) or the pooled kernel on `kernel` threads.
+fn ensembles(
+    world: &World,
+    regions: &Regions,
+    k: usize,
+    n_mc: usize,
+    kernel: Option<usize>,
+) -> Vec<Option<NullEnsemble>> {
+    let ensemble = |(region, sampler, seed): &(Region, CuisineSampler, u64)| {
+        let cuisine = world.recipes.cuisine(*region);
+        match kernel {
+            Some(n_threads) => {
+                let scorer = KTupleScorer::for_cuisine(&world.flavor, &cuisine, k);
+                let cfg = MonteCarloConfig {
+                    n_recipes: n_mc,
+                    seed: *seed,
+                    n_threads,
+                };
+                ktuple_null_ensemble(&scorer, sampler, NullModel::Random, &cfg)
+            }
+            None => {
+                let scorer =
+                    ntuple::reference::KTupleScorer::for_cuisine(&world.flavor, &cuisine, k);
+                baseline_ktuple_ensemble(&scorer, sampler, NullModel::Random, k, n_mc, *seed)
+            }
+        }
+    };
+    regions.iter().map(ensemble).collect()
 }
 
 fn main() {
-    let scale: f64 = env_or("CULINARIA_SCALE", 0.1);
-    let seed: u64 = env_or("CULINARIA_SEED", 2018);
+    check_args();
+    let world_cfg = world_config_from_env(0.1);
+    let (scale, seed) = (world_cfg.recipe_scale, world_cfg.seed);
     let n_threads: usize = env_or("CULINARIA_THREADS", 0);
     let n_mc: usize = env_or("CULINARIA_NTUPLE_MC", 10_000);
-    let out_path: String = env_or("CULINARIA_BENCH_OUT", "BENCH_ntuple.json".to_string());
-    let mut world_cfg = WorldConfig::paper();
-    world_cfg.recipe_scale = scale;
-    world_cfg.seed = seed;
+    let world = generate_logged(&world_cfg);
 
-    eprintln!("generating world: scale {scale}, seed {seed}");
-    let world = generate_world(&world_cfg);
-    eprintln!("world ready: {} recipes", world.recipes.n_recipes());
-
-    // Regions with a usable sampler, and their salted run seeds.
     let regions: Vec<(Region, CuisineSampler, u64)> = world
         .recipes
         .regions()
@@ -112,37 +135,22 @@ fn main() {
         .collect();
     let n_regions = regions.len();
 
-    let mut reports = Vec::new();
+    let mut summary = harness::summary(
+        "ntuple_kway_kernel",
+        Run {
+            seed,
+            scale: Some(scale),
+            threads: n_threads,
+            reps: TIME_REPS,
+        },
+    )
+    .set("n_regions", n_regions)
+    .set("n_recipes_per_ensemble", n_mc)
+    .set("n_threads_requested", n_threads);
     let mut references: Vec<(usize, Vec<Option<NullEnsemble>>)> = Vec::new();
     for k in [3usize, 4] {
-        // Observed sweep: frozen walker.
-        let t = Instant::now();
-        let baseline_obs: Vec<f64> = regions
-            .iter()
-            .map(|(region, _, _)| {
-                ntuple::reference::mean_cuisine_ktuple_score(
-                    &world.flavor,
-                    &world.recipes.cuisine(*region),
-                    k,
-                )
-            })
-            .collect();
-        let baseline_observed_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        // Observed sweep: bitset kernel on the pool.
-        let t = Instant::now();
-        let optimized_obs: Vec<f64> = regions
-            .iter()
-            .map(|(region, _, _)| {
-                mean_cuisine_ktuple_score(
-                    &world.flavor,
-                    &world.recipes.cuisine(*region),
-                    k,
-                    n_threads,
-                )
-            })
-            .collect();
-        let optimized_observed_ms = t.elapsed().as_secs_f64() * 1e3;
+        let baseline_obs = observed(&world, &regions, k, None);
+        let optimized_obs = observed(&world, &regions, k, Some(n_threads));
         for ((region, _, _), (a, b)) in regions.iter().zip(baseline_obs.iter().zip(&optimized_obs))
         {
             assert_eq!(
@@ -153,44 +161,10 @@ fn main() {
             );
         }
 
-        // Monte-Carlo: frozen walker, serial blocks.
-        eprintln!("k={k}: baseline Monte-Carlo, {n_mc} recipes x {n_regions} regions");
-        let t = Instant::now();
-        let baseline_mc: Vec<Option<NullEnsemble>> = regions
-            .iter()
-            .map(|(region, sampler, rseed)| {
-                let scorer = ntuple::reference::KTupleScorer::for_cuisine(
-                    &world.flavor,
-                    &world.recipes.cuisine(*region),
-                    k,
-                );
-                baseline_ktuple_ensemble(&scorer, sampler, NullModel::Random, k, n_mc, *rseed)
-            })
-            .collect();
-        let baseline_mc_ms = t.elapsed().as_secs_f64() * 1e3;
-
-        // Monte-Carlo: pooled kernel ensembles.
-        eprintln!(
-            "k={k}: kernel Monte-Carlo on {} threads",
-            pool::effective_threads(n_threads)
-        );
-        let t = Instant::now();
-        let optimized_mc: Vec<Option<NullEnsemble>> = regions
-            .iter()
-            .map(|(region, sampler, rseed)| {
-                let scorer =
-                    KTupleScorer::for_cuisine(&world.flavor, &world.recipes.cuisine(*region), k);
-                let cfg = MonteCarloConfig {
-                    n_recipes: n_mc,
-                    seed: *rseed,
-                    n_threads,
-                };
-                ktuple_null_ensemble(&scorer, sampler, NullModel::Random, &cfg)
-            })
-            .collect();
-        let optimized_mc_ms = t.elapsed().as_secs_f64() * 1e3;
-
         // Ensemble parity: identical streams → identical bits.
+        eprintln!("k={k}: parity of the frozen walker vs the kernel, {n_mc} recipes x {n_regions} regions");
+        let baseline_mc = ensembles(&world, &regions, k, n_mc, None);
+        let optimized_mc = ensembles(&world, &regions, k, n_mc, Some(n_threads));
         for ((region, _, _), (a, b)) in regions.iter().zip(baseline_mc.iter().zip(&optimized_mc)) {
             match (a, b) {
                 (Some(a), Some(b)) => {
@@ -206,44 +180,52 @@ fn main() {
             }
         }
 
-        let report = KReport {
-            k,
-            baseline_observed_ms,
-            optimized_observed_ms,
-            baseline_mc_ms,
-            optimized_mc_ms,
-        };
-        eprintln!(
-            "k={k}: baseline {:.0} ms (observed {:.0} + mc {:.0}) vs kernel {:.0} ms -> {:.2}x",
-            report.baseline_wall_ms(),
-            baseline_observed_ms,
-            baseline_mc_ms,
-            report.optimized_wall_ms(),
-            report.speedup()
+        let [baseline_observed, optimized_observed] = harness::time_ms(
+            TIME_REPS,
+            [&mut || observed(&world, &regions, k, None), &mut || {
+                observed(&world, &regions, k, Some(n_threads))
+            }],
         );
-        reports.push(report);
+        let [baseline_mc_t, optimized_mc_t] = harness::time_ms(
+            TIME_REPS,
+            [
+                &mut || ensembles(&world, &regions, k, n_mc, None),
+                &mut || ensembles(&world, &regions, k, n_mc, Some(n_threads)),
+            ],
+        );
+        let baseline_wall_ms = baseline_observed.min() + baseline_mc_t.min();
+        let optimized_wall_ms = optimized_observed.min() + optimized_mc_t.min();
+        let speedup = baseline_wall_ms / optimized_wall_ms;
+        eprintln!(
+            "k={k}: baseline {baseline_wall_ms:.0} ms (observed {:.0} + mc {:.0}) vs kernel \
+             {optimized_wall_ms:.0} ms -> {speedup:.2}x",
+            baseline_observed.min(),
+            baseline_mc_t.min(),
+        );
+        let report = Obj::default()
+            .stat("baseline_observed_ms", &baseline_observed)
+            .stat("optimized_observed_ms", &optimized_observed)
+            .stat("baseline_mc_ms", &baseline_mc_t)
+            .stat("optimized_mc_ms", &optimized_mc_t)
+            .set("baseline_wall_ms", baseline_wall_ms)
+            .set("optimized_wall_ms", optimized_wall_ms)
+            .set("speedup", speedup);
+        summary = summary.set(&format!("k{k}"), report);
         references.push((k, optimized_mc));
     }
 
     // Thread-scaling sweep: the pooled kernel ensembles for both
-    // orders at 1/2/4/8 workers. The old harness merely *re-ran* the
-    // determinism check; this times every point and still asserts
-    // bit-parity against the reference ensembles.
-    let mut scaling = Vec::new();
-    let mut wall_at_1 = f64::NAN;
-    for threads in [1usize, 2, 4, 8] {
-        let t = Instant::now();
-        for (k, reference) in &references {
-            for ((region, sampler, rseed), refe) in regions.iter().zip(reference) {
-                let scorer =
-                    KTupleScorer::for_cuisine(&world.flavor, &world.recipes.cuisine(*region), *k);
-                let cfg = MonteCarloConfig {
-                    n_recipes: n_mc,
-                    seed: *rseed,
-                    n_threads: threads,
-                };
-                let e = ktuple_null_ensemble(&scorer, sampler, NullModel::Random, &cfg);
-                match (refe, &e) {
+    // orders at 1/2/4/8 workers, each point bit-identical to the
+    // reference ensembles.
+    let run_all = |threads| -> Vec<_> {
+        let k_ensembles =
+            |(k, _): &(usize, _)| ensembles(&world, &regions, *k, n_mc, Some(threads));
+        references.iter().map(k_ensembles).collect()
+    };
+    let scaling = harness::scaling(TIME_REPS, run_all, |threads, runs| {
+        for ((k, reference), sweep) in references.iter().zip(runs) {
+            for ((region, _, _), (refe, e)) in regions.iter().zip(reference.iter().zip(&sweep)) {
+                match (refe, e) {
                     (Some(a), Some(b)) => {
                         assert_eq!(
                             a.mean.to_bits(),
@@ -257,54 +239,11 @@ fn main() {
                 }
             }
         }
-        let wall_ms = t.elapsed().as_secs_f64() * 1e3;
-        if threads == 1 {
-            wall_at_1 = wall_ms;
-        }
-        eprintln!(
-            "scaling: {threads} threads -> {wall_ms:.0} ms ({:.2}x vs 1 thread)",
-            wall_at_1 / wall_ms
-        );
-        scaling.push(format!(
-            "    {{ \"threads\": {threads}, \"wall_ms\": {wall_ms:.3}, \
-             \"speedup_vs_1\": {sp:.3}, \"parity\": \"bit-identical\" }}",
-            sp = wall_at_1 / wall_ms,
-        ));
-    }
+    });
 
-    let per_k: Vec<String> = reports
-        .iter()
-        .map(|r| {
-            format!(
-                "  \"k{k}\": {{\n    \"baseline_observed_ms\": {bo:.3},\n    \
-                 \"optimized_observed_ms\": {oo:.3},\n    \"baseline_mc_ms\": {bm:.3},\n    \
-                 \"optimized_mc_ms\": {om:.3},\n    \"baseline_wall_ms\": {bw:.3},\n    \
-                 \"optimized_wall_ms\": {ow:.3},\n    \"speedup\": {s:.3}\n  }}",
-                k = r.k,
-                bo = r.baseline_observed_ms,
-                oo = r.optimized_observed_ms,
-                bm = r.baseline_mc_ms,
-                om = r.optimized_mc_ms,
-                bw = r.baseline_wall_ms(),
-                ow = r.optimized_wall_ms(),
-                s = r.speedup(),
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"ntuple_kway_kernel\",\n  \"n_regions\": {n_regions},\n  \
-         \"n_recipes_per_ensemble\": {n_mc},\n  \"recipe_scale\": {scale},\n  \
-         \"seed\": {seed},\n  \"n_threads_requested\": {n_threads},\n  \
-         \"n_threads_effective\": {eff},\n  \"available_cores\": {cores},\n\
-         {per_k},\n  \"scaling\": [\n{scaling}\n  ],\n  \
-         \"thread_counts_checked\": [1, 2, 4, 8],\n  \
-         \"parity\": \"bit-identical\"\n}}\n",
-        eff = pool::effective_threads(n_threads),
-        cores = std::thread::available_parallelism().map_or(1, |n| n.get()),
-        per_k = per_k.join(",\n"),
-        scaling = scaling.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("write bench summary");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    summary
+        .set("scaling", scaling)
+        .set("thread_counts_checked", vec![1usize, 2, 4, 8])
+        .set("parity", "bit-identical")
+        .write("BENCH_ntuple.json");
 }

@@ -8,17 +8,17 @@
 //!   counts, per-region overlap caches grown row-by-row, Welford
 //!   running stats) while the batch path recomputes the touched
 //!   regions' state cold after every micro-batch, exactly as the
-//!   offline pipeline would. Per micro-batch size the harness reports
-//!   total time for both paths, the speedup, and the incremental
-//!   update-latency p50/p99 — and asserts the final incremental state
-//!   is *bit-identical* to the cold rebuild over the whole stream.
+//!   offline pipeline would. Per micro-batch size the harness asserts
+//!   the final incremental state is *bit-identical* to the cold
+//!   rebuild over the whole stream, then reports total time for both
+//!   paths, the speedup, and the incremental update-latency p50/p99.
 //! * **Ingest while serving** — a [`Server`] answers a fixed-rate
 //!   query mix (ZPROF + PAIR over one connection) while the main
 //!   thread installs successive data generations with
 //!   [`Server::ingest_swap`]. The harness reports query p50/p99 under
 //!   churn, swap latency p50/p99, and the `serve.cache.invalidations`
-//!   count — and asserts the post-swap server answers bit-identically
-//!   to a fresh server built over the final store.
+//!   count. A first, untimed run asserts the post-swap server answers
+//!   bit-identically to a fresh server built over the final store.
 //!
 //! Writes `BENCH_stream.json`. Knobs: `CULINARIA_SCALE`,
 //! `CULINARIA_SEED`, `CULINARIA_STREAM_RECIPES` (stream length,
@@ -34,82 +34,68 @@
 //! threshold, default 4096), `CULINARIA_BENCH_OUT`.
 //!
 //! A third regime smokes the durable segmented WAL (`DESIGN.md` §15):
-//! per-fsync-policy append cost over rotating segments, reopen/replay
-//! parity against the live store, and torn-tail recovery.
+//! reopen/replay parity against the live store and torn-tail recovery,
+//! then the per-fsync-policy append, reopen and replay cost over
+//! rotating segments.
+//!
+//! Every timing reports min, median and MAD over `TIME_REPS` repeats;
+//! the latency quantiles pool the samples of every timed repeat.
 
 use std::collections::{BTreeSet, HashMap};
+use std::hint::black_box;
 use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use culinaria_bench::{env_or, world_from_env};
+use culinaria_bench::harness::{self, Obj, Run, Stat};
+use culinaria_bench::{check_args, env_or, generate_logged, world_config_from_env, List};
 use culinaria_core::composition::category_counts;
 use culinaria_core::{
     recipe_pairing_score, FlavorViewRef, OverlapCache, RecipesViewRef, StreamState,
 };
-use culinaria_flavordb::IngredientId;
+use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::Metrics;
-use culinaria_recipedb::{RecipeArtifactBuilder, RecipeStore, Region, Source};
+use culinaria_recipedb::import::Importer;
+use culinaria_recipedb::{
+    Cuisine, FsyncPolicy, RawRecipe, Recipe, RecipeArtifactBuilder, RecipeStore, Region,
+    SegmentedLog,
+};
 use culinaria_serve::protocol::{self, Client};
-use culinaria_serve::{ConnStats, ServeConfig, Server};
+use culinaria_serve::{ServeConfig, Server};
 use culinaria_stats::running::RunningStats;
 
-fn env_list(name: &str, default: &str) -> Vec<usize> {
-    let raw = std::env::var(name).unwrap_or_else(|_| default.to_owned());
-    raw.split(',')
-        .filter(|t| !t.trim().is_empty())
-        .map(|t| t.trim().parse().expect("comma-separated usize list"))
-        .collect()
-}
+/// Timed repeats per path.
+const TIME_REPS: usize = 3;
 
-/// One stored recipe, owned so stores can be regrown generation by
-/// generation without borrowing the world.
-struct StreamRecipe {
-    name: String,
-    region: Region,
-    source: Source,
-    ids: Vec<IngredientId>,
-}
-
-/// Run `f` against a live connection to `server` (same shape as
-/// `bench_serve`): the closure must drain every reply it is owed.
-fn with_connection<T>(
-    server: &Server<'_>,
-    f: impl FnOnce(&mut Client<UnixStream>) -> T,
-) -> (T, ConnStats) {
+/// `server`'s replies to `probes`, asked over one live connection.
+fn answers(server: &Server<'_>, probes: &[String]) -> Vec<String> {
     let (server_side, client_side) = UnixStream::pair().expect("socketpair");
     std::thread::scope(|scope| {
         let reader = server_side.try_clone().expect("clone");
         let handle =
             scope.spawn(move || server.serve_connection(reader, server_side).expect("serve"));
         let mut client = Client::new(client_side);
-        let out = f(&mut client);
+        let call = |(i, p): (usize, &String)| client.call(i as u64 + 1, p).expect("probe");
+        let out = probes.iter().enumerate().map(call).collect();
         drop(client);
-        (out, handle.join().expect("server thread"))
+        handle.join().expect("server thread");
+        out
     })
 }
 
-/// Interpolated p50/p99 over client-side latencies, via the same obs
-/// histogram estimator the METRICS endpoint uses.
-fn quantiles_us(lat_us: &[u64]) -> (f64, f64) {
-    let metrics = Metrics::enabled();
-    let hist = metrics.histogram("lat_us");
-    for &us in lat_us {
-        hist.record(us);
+/// The cold pairing statistics of `cuisine`: every recipe of two or
+/// more ingredients.
+fn cold_pairing_stats(db: &FlavorDb, cuisine: &Cuisine<'_>) -> RunningStats {
+    let mut stats = RunningStats::new();
+    for r in cuisine.recipes().iter().filter(|r| r.size() >= 2) {
+        stats.push(recipe_pairing_score(db, r.ingredients()));
     }
-    let snap = metrics.snapshot();
-    let h = snap.histogram("lat_us").expect("recorded");
-    (h.quantile_interp_us(0.50), h.quantile_interp_us(0.99))
+    stats
 }
 
 /// Assert the incrementally fed `state` is bit-identical to a cold
 /// batch rebuild over `store` — the bench's parity gate.
-fn assert_stream_parity(
-    db: &culinaria_flavordb::FlavorDb,
-    state: &StreamState,
-    store: &RecipeStore,
-    label: &str,
-) {
+fn assert_stream_parity(db: &FlavorDb, state: &StreamState, store: &RecipeStore, label: &str) {
     assert_eq!(
         state.global_frequencies(),
         &store.global_frequencies(),
@@ -139,43 +125,137 @@ fn assert_stream_parity(
             cold.tri(),
             "{label}: {region} overlap triangle diverged"
         );
-        let mut batch = RunningStats::new();
-        for r in cuisine.recipes() {
-            if r.size() >= 2 {
-                batch.push(recipe_pairing_score(db, r.ingredients()));
-            }
-        }
         assert_eq!(
             rs.pairing_stats(),
-            &batch,
+            &cold_pairing_stats(db, &cuisine),
             "{label}: {region} running stats diverged"
         );
     }
 }
 
+/// One micro-batch of the stream: its `(region, ids)` refs, the store
+/// after it (the batch path's input) and the regions it touched.
+struct Step<'a> {
+    refs: Vec<(Region, &'a [IngredientId])>,
+    store: RecipeStore,
+    touched: BTreeSet<Region>,
+}
+
+/// The incremental path: one chunked ingest per micro-batch — each
+/// touched region's overlap pool extends once per micro-batch. Pushes
+/// every update's latency (µs) to `update_us`.
+fn feed(db: &FlavorDb, steps: &[Step<'_>], update_us: &mut Vec<f64>) -> StreamState {
+    let mut state = StreamState::new();
+    for step in steps {
+        let t = Instant::now();
+        state
+            .ingest_batch(db, &step.refs)
+            .expect("stream chunk ingests");
+        update_us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    state
+}
+
+/// The batch path: cold-recompute every touched region's state after
+/// each micro-batch, as the offline pipeline would.
+fn cold_rebuilds(db: &FlavorDb, steps: &[Step<'_>]) {
+    for step in steps {
+        black_box(step.store.global_frequencies());
+        for &region in &step.touched {
+            let cuisine = step.store.cuisine(region);
+            let cold = OverlapCache::for_cuisine(db, &cuisine);
+            let cats = category_counts(db, &cuisine);
+            black_box((&cold, &cats, &cold_pairing_stats(db, &cuisine)));
+        }
+    }
+}
+
+/// One churn run: `lines` go to `server` at `rate` queries/s over one
+/// connection while another thread installs the generations
+/// `arena[1..]` at an even spacing. Returns the client-side query
+/// latencies (µs), the count of `OK` replies and the swap latencies
+/// (µs).
+fn churn<'a>(
+    server: &Server<'a>,
+    flavor: FlavorViewRef<'a>,
+    arena: &'a [RecipeStore],
+    lines: &[String],
+    rate: usize,
+) -> (Vec<f64>, usize, Vec<f64>) {
+    let sent_at: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
+    let period = Duration::from_secs_f64(1.0 / rate as f64);
+    let swap_every =
+        Duration::from_secs_f64((lines.len() as f64 / rate as f64) / arena.len() as f64);
+    let (server_side, client_side) = UnixStream::pair().expect("socketpair");
+    let write_half = client_side.try_clone().expect("clone");
+    std::thread::scope(|scope| {
+        let reader = server_side.try_clone().expect("clone");
+        let srv = scope.spawn(move || server.serve_connection(reader, server_side).expect("serve"));
+        let sent_at = &sent_at;
+        let writer = scope.spawn(move || {
+            let mut w = write_half;
+            let start = Instant::now();
+            for (i, line) in lines.iter().enumerate() {
+                let due = start + period * i as u32;
+                let now = Instant::now();
+                if due > now {
+                    std::thread::sleep(due - now);
+                }
+                let id = (1u64 << 40) + i as u64;
+                sent_at.lock().expect("lock").insert(id, Instant::now());
+                protocol::write_frame(&mut w, format!("{id} {line}").as_bytes()).expect("send");
+            }
+        });
+        // The ingest side: install generations at an even spacing
+        // while the reader below keeps draining replies.
+        let ingester = scope.spawn(move || {
+            let mut swap_us = Vec::with_capacity(arena.len());
+            for (g, store) in arena.iter().enumerate().skip(1) {
+                std::thread::sleep(swap_every);
+                let t = Instant::now();
+                let generation = server.ingest_swap(flavor, RecipesViewRef::Owned(store));
+                swap_us.push(t.elapsed().as_secs_f64() * 1e6);
+                assert_eq!(generation, g as u64, "generations must be sequential");
+            }
+            swap_us
+        });
+        let mut client = Client::new(client_side);
+        let mut lat = Vec::with_capacity(lines.len());
+        let mut ok_replies = 0usize;
+        for _ in lines {
+            let (rid, rest) = client.recv().expect("recv").expect("open");
+            if rest.starts_with("OK ") {
+                ok_replies += 1;
+            }
+            if let Some(t) = sent_at.lock().expect("lock").remove(&rid) {
+                lat.push(t.elapsed().as_secs_f64() * 1e6);
+            }
+        }
+        writer.join().expect("writer thread");
+        let swap_us = ingester.join().expect("ingester thread");
+        drop(client);
+        srv.join().expect("server thread");
+        (lat, ok_replies, swap_us)
+    })
+}
+
 fn main() {
-    let seed: u64 = env_or("CULINARIA_SEED", 2018);
+    check_args();
     let n_stream: usize = env_or("CULINARIA_STREAM_RECIPES", 240);
-    let batch_sizes = env_list("CULINARIA_STREAM_BATCH", "1,8,64");
+    let batch_sizes = env_or("CULINARIA_STREAM_BATCH", List(vec![1, 8, 64])).0;
     let queries: usize = env_or("CULINARIA_STREAM_QUERIES", 400);
     let rate: usize = env_or("CULINARIA_STREAM_RATE", 200);
     let swaps: usize = env_or("CULINARIA_STREAM_SWAPS", 8);
     let swap_batch: usize = env_or("CULINARIA_STREAM_SWAP_BATCH", 16);
     let mc: usize = env_or("CULINARIA_STREAM_MC", 300);
-    let thread_list = env_list("CULINARIA_STREAM_THREADS", "1,2");
-    let out_path: String = env_or("CULINARIA_BENCH_OUT", "BENCH_stream.json".to_string());
+    let thread_list = env_or("CULINARIA_STREAM_THREADS", List(vec![1, 2])).0;
+    let wal_recipes: usize = env_or("CULINARIA_STREAM_WAL_RECIPES", 160);
+    let segment_bytes: u64 = env_or("CULINARIA_STREAM_SEGMENT_BYTES", 4096);
 
-    let world = world_from_env();
-    let all: Vec<StreamRecipe> = world
-        .recipes
-        .recipes()
-        .map(|r| StreamRecipe {
-            name: r.name.clone(),
-            region: r.region,
-            source: r.source,
-            ids: r.ingredients().to_vec(),
-        })
-        .collect();
+    let world_cfg = world_config_from_env(1.0);
+    let seed = world_cfg.seed;
+    let world = generate_logged(&world_cfg);
+    let all: Vec<&Recipe> = world.recipes.recipes().collect();
     assert!(
         all.len() > swaps * swap_batch + 32,
         "world too small for {swaps} swaps of {swap_batch}: {} recipes",
@@ -187,78 +267,64 @@ fn main() {
     let mut inc_rows = Vec::new();
     let mut best_speedup = 0.0f64;
     for &bsize in &batch_sizes {
-        let mut state = StreamState::new();
+        // Store growth is shared by both paths; keep it untimed.
         let mut partial = RecipeStore::new();
-        let mut inc_ns = 0u128;
-        let mut batch_ns = 0u128;
-        let mut update_us: Vec<u64> = Vec::new();
-        let mut batches = 0usize;
-        for chunk in stream.chunks(bsize) {
-            // Store growth is shared by both paths; keep it untimed.
-            for r in chunk {
-                partial
-                    .add_recipe(&r.name, r.region, r.source, r.ids.clone())
-                    .expect("stream recipe stores");
-            }
-            let touched: BTreeSet<Region> = chunk.iter().map(|r| r.region).collect();
-            let refs: Vec<(Region, &[IngredientId])> =
-                chunk.iter().map(|r| (r.region, r.ids.as_slice())).collect();
-
-            // Incremental path: one chunked ingest — each touched
-            // region's overlap pool extends once per micro-batch.
-            let t = Instant::now();
-            state
-                .ingest_batch(&world.flavor, &refs)
-                .expect("stream chunk ingests");
-            let dt = t.elapsed();
-            inc_ns += dt.as_nanos();
-            update_us.push(dt.as_micros() as u64);
-
-            // Batch path: cold-recompute every touched region's state,
-            // as the offline pipeline would after each micro-batch.
-            let t = Instant::now();
-            let global = partial.global_frequencies();
-            std::hint::black_box(&global);
-            for &region in &touched {
-                let cuisine = partial.cuisine(region);
-                let cold = OverlapCache::for_cuisine(&world.flavor, &cuisine);
-                let cats = category_counts(&world.flavor, &cuisine);
-                let mut stats = RunningStats::new();
-                for r in cuisine.recipes() {
-                    if r.size() >= 2 {
-                        stats.push(recipe_pairing_score(&world.flavor, r.ingredients()));
-                    }
+        let steps: Vec<Step<'_>> = stream
+            .chunks(bsize)
+            .map(|chunk| {
+                for r in chunk {
+                    partial
+                        .add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
+                        .expect("stream recipe stores");
                 }
-                std::hint::black_box((&cold, &cats, &stats));
-            }
-            batch_ns += t.elapsed().as_nanos();
-            batches += 1;
-        }
+                Step {
+                    refs: chunk.iter().map(|r| (r.region, r.ingredients())).collect(),
+                    store: partial.clone(),
+                    touched: chunk.iter().map(|r| r.region).collect(),
+                }
+            })
+            .collect();
+        let state = feed(&world.flavor, &steps, &mut Vec::new());
         assert_stream_parity(
             &world.flavor,
             &state,
             &partial,
             &format!("micro-batch {bsize}"),
         );
-        let speedup = batch_ns as f64 / inc_ns.max(1) as f64;
+
+        let mut update_us = Vec::new();
+        let [inc, batch] = harness::time_ms(
+            TIME_REPS,
+            [
+                &mut || drop(feed(&world.flavor, &steps, &mut update_us)),
+                &mut || cold_rebuilds(&world.flavor, &steps),
+            ],
+        );
+        let update = Stat::of(update_us);
+        let speedup = batch.min() / inc.min();
         best_speedup = best_speedup.max(speedup);
-        let (p50, p99) = quantiles_us(&update_us);
+        let (p50, p99) = (update.median(), update.quantile(0.99));
         eprintln!(
-            "micro-batch {bsize}: {} recipes in {batches} batches, \
+            "micro-batch {bsize}: {} recipes in {} batches, \
              incremental {:.1}ms vs batch {:.1}ms — speedup {speedup:.1}x, \
              update p50 {p50:.0}µs p99 {p99:.0}µs",
             stream.len(),
-            inc_ns as f64 / 1e6,
-            batch_ns as f64 / 1e6,
+            steps.len(),
+            inc.min(),
+            batch.min(),
         );
-        inc_rows.push(format!(
-            "    {{ \"batch_size\": {bsize}, \"recipes\": {}, \"batches\": {batches}, \
-             \"incremental_ms\": {:.3}, \"batch_ms\": {:.3}, \"speedup\": {speedup:.2}, \
-             \"update_p50_us\": {p50:.1}, \"update_p99_us\": {p99:.1}, \"parity\": \"ok\" }}",
-            stream.len(),
-            inc_ns as f64 / 1e6,
-            batch_ns as f64 / 1e6,
-        ));
+        inc_rows.push(
+            Obj::default()
+                .set("batch_size", bsize)
+                .set("recipes", stream.len())
+                .set("batches", steps.len())
+                .stat("incremental_ms", &inc)
+                .stat("batch_ms", &batch)
+                .set("speedup", speedup)
+                .set("update_p50_us", p50)
+                .set("update_p99_us", p99)
+                .set("parity", "ok"),
+        );
     }
     assert!(
         best_speedup > 1.0,
@@ -274,7 +340,7 @@ fn main() {
         .map(|g| {
             let mut s = RecipeStore::new();
             for r in &all[..base_n + g * swap_batch] {
-                s.add_recipe(&r.name, r.region, r.source, r.ids.clone())
+                s.add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
                     .expect("arena recipe stores");
             }
             s
@@ -312,6 +378,10 @@ fn main() {
             }
         })
         .collect();
+    let probes: Vec<String> = ranked
+        .iter()
+        .map(|r| format!("ZPROF {}", r.code()))
+        .collect();
 
     let mut serve_rows = Vec::new();
     for &threads in &thread_list {
@@ -322,74 +392,16 @@ fn main() {
             seed,
             ..ServeConfig::default()
         };
-        let server = Server::new(
-            flavor,
-            RecipesViewRef::Owned(&arena[0]),
-            cfg,
-            Metrics::enabled(),
-        );
+        let new_server = || {
+            let base = RecipesViewRef::Owned(&arena[0]);
+            Server::new(flavor, base, cfg, Metrics::enabled())
+        };
 
-        let sent_at: Mutex<HashMap<u64, Instant>> = Mutex::new(HashMap::new());
-        let period = Duration::from_secs_f64(1.0 / rate as f64);
-        let swap_every =
-            Duration::from_secs_f64((queries as f64 / rate as f64) / (swaps as f64 + 1.0));
-        let (server_side, client_side) = UnixStream::pair().expect("socketpair");
-        let write_half = client_side.try_clone().expect("clone");
-        let t0 = Instant::now();
-        let (lat, ok_replies, swap_us) = std::thread::scope(|scope| {
-            let reader = server_side.try_clone().expect("clone");
-            let server = &server;
-            let srv =
-                scope.spawn(move || server.serve_connection(reader, server_side).expect("serve"));
-            let sent_at = &sent_at;
-            let lines_ref = &lines;
-            let writer = scope.spawn(move || {
-                let mut w = write_half;
-                let start = Instant::now();
-                for (i, line) in lines_ref.iter().enumerate() {
-                    let due = start + period * i as u32;
-                    let now = Instant::now();
-                    if due > now {
-                        std::thread::sleep(due - now);
-                    }
-                    let id = (1u64 << 40) + i as u64;
-                    sent_at.lock().expect("lock").insert(id, Instant::now());
-                    protocol::write_frame(&mut w, format!("{id} {line}").as_bytes()).expect("send");
-                }
-            });
-            // The ingest side: install generations at an even spacing
-            // while the reader below keeps draining replies.
-            let arena_ref = &arena;
-            let ingester = scope.spawn(move || {
-                let mut swap_us = Vec::with_capacity(swaps);
-                for (g, store) in arena_ref.iter().enumerate().skip(1) {
-                    std::thread::sleep(swap_every);
-                    let t = Instant::now();
-                    let generation = server.ingest_swap(flavor, RecipesViewRef::Owned(store));
-                    swap_us.push(t.elapsed().as_micros() as u64);
-                    assert_eq!(generation, g as u64, "generations must be sequential");
-                }
-                swap_us
-            });
-            let mut client = Client::new(client_side);
-            let mut lat = Vec::with_capacity(queries);
-            let mut ok_replies = 0usize;
-            for _ in 0..queries {
-                let (rid, rest) = client.recv().expect("recv").expect("open");
-                if rest.starts_with("OK ") {
-                    ok_replies += 1;
-                }
-                if let Some(t) = sent_at.lock().expect("lock").remove(&rid) {
-                    lat.push(t.elapsed().as_micros() as u64);
-                }
-            }
-            writer.join().expect("writer thread");
-            let swap_us = ingester.join().expect("ingester thread");
-            drop(client);
-            srv.join().expect("server thread");
-            (lat, ok_replies, swap_us)
-        });
-        let elapsed = t0.elapsed().as_secs_f64();
+        // The asserted run: every query answered, every generation
+        // installed, stale entries invalidated, and the swapped server
+        // answering exactly like a fresh server over the final store.
+        let server = new_server();
+        let (_, ok_replies, _) = churn(&server, flavor, &arena, &lines, rate);
         assert_eq!(
             ok_replies, queries,
             "every query must be answered OK while ingesting (threads {threads})"
@@ -400,72 +412,71 @@ fn main() {
             cs.invalidations > 0,
             "swaps over a repeating mix must invalidate stale entries (threads {threads})"
         );
-        let (q50, q99) = quantiles_us(&lat);
-        let (s50, s99) = quantiles_us(&swap_us);
-
-        // Parity: the swapped server must answer exactly like a fresh
-        // server over the final generation's store.
-        let probes: Vec<String> = ranked
-            .iter()
-            .map(|r| format!("ZPROF {}", r.code()))
-            .collect();
-        let (swapped, _) = with_connection(&server, |client| {
-            probes
-                .iter()
-                .enumerate()
-                .map(|(i, p)| client.call(i as u64 + 1, p).expect("probe"))
-                .collect::<Vec<String>>()
-        });
         let fresh_server = Server::new(
             flavor,
             RecipesViewRef::Owned(&arena[swaps]),
             cfg,
             Metrics::enabled(),
         );
-        let (fresh, _) = with_connection(&fresh_server, |client| {
-            probes
-                .iter()
-                .enumerate()
-                .map(|(i, p)| client.call(i as u64 + 1, p).expect("probe"))
-                .collect::<Vec<String>>()
-        });
         assert_eq!(
-            swapped, fresh,
+            answers(&server, &probes),
+            answers(&fresh_server, &probes),
             "post-swap answers diverged from a cold server (threads {threads})"
         );
 
+        // The timed runs, each on a fresh server.
+        let (mut lat, mut swap_us) = (Vec::new(), Vec::new());
+        let [elapsed] = harness::time_ms(
+            TIME_REPS,
+            [&mut || {
+                let (l, _, s) = churn(&new_server(), flavor, &arena, &lines, rate);
+                lat.extend(l);
+                swap_us.extend(s);
+            }],
+        );
+        let (lat, swap) = (Stat::of(lat), Stat::of(swap_us));
+        let (q50, q99) = (lat.median(), lat.quantile(0.99));
+        let (s50, s99) = (swap.median(), swap.quantile(0.99));
         eprintln!(
             "serving threads={threads}: {queries} queries at {rate}/s with {swaps} swaps in \
-             {elapsed:.2}s — query p50 {q50:.0}µs p99 {q99:.0}µs, swap p50 {s50:.0}µs \
+             {:.2}s — query p50 {q50:.0}µs p99 {q99:.0}µs, swap p50 {s50:.0}µs \
              p99 {s99:.0}µs, {} invalidations",
+            elapsed.min() / 1e3,
             cs.invalidations
         );
-        serve_rows.push(format!(
-            "    {{ \"threads\": {threads}, \"rate_rps\": {rate}, \"queries\": {queries}, \
-             \"swaps\": {swaps}, \"swap_batch\": {swap_batch}, \"elapsed_s\": {elapsed:.3}, \
-             \"query_p50_us\": {q50:.1}, \"query_p99_us\": {q99:.1}, \
-             \"swap_p50_us\": {s50:.1}, \"swap_p99_us\": {s99:.1}, \
-             \"cache_hits\": {}, \"cache_misses\": {}, \"cache_invalidations\": {}, \
-             \"parity\": \"ok\" }}",
-            cs.hits, cs.misses, cs.invalidations
-        ));
+        serve_rows.push(
+            Obj::default()
+                .set("threads", threads)
+                .set("rate_rps", rate)
+                .set("queries", queries)
+                .set("swaps", swaps)
+                .set("swap_batch", swap_batch)
+                .stat("elapsed_s", &elapsed.per(1000)) // ms → s
+                .set("query_p50_us", q50)
+                .set("query_p99_us", q99)
+                .set("swap_p50_us", s50)
+                .set("swap_p99_us", s99)
+                .set("cache_hits", cs.hits)
+                .set("cache_misses", cs.misses)
+                .set("cache_invalidations", cs.invalidations)
+                .set("parity", "ok"),
+        );
     }
 
     // ---- Part 3: segmented-WAL durability smoke (DESIGN.md §15) —
-    // per-fsync-policy append cost over rotating CWAL1 segments, then a
-    // reopen whose recovered log must replay bit-identically to the
-    // store the appends grew, including after a torn tail.
-    let wal_recipes: usize = env_or("CULINARIA_STREAM_WAL_RECIPES", 160);
-    let segment_bytes: u64 = env_or("CULINARIA_STREAM_SEGMENT_BYTES", 4096);
-    let importer = culinaria_recipedb::import::Importer::from_flavor_db(&world.flavor);
-    let wal_raws: Vec<culinaria_recipedb::RawRecipe> = all[..wal_recipes.min(all.len())]
+    // a reopen whose recovered log must replay bit-identically to the
+    // store the appends grew, including after a torn tail; then the
+    // per-fsync-policy append cost over rotating CWAL1 segments and
+    // the reopen and replay cost of the result.
+    let importer = Importer::from_flavor_db(&world.flavor);
+    let wal_raws: Vec<RawRecipe> = all[..wal_recipes.min(all.len())]
         .iter()
-        .map(|r| culinaria_recipedb::RawRecipe {
+        .map(|r| RawRecipe {
             name: r.name.clone(),
             region: r.region,
             source: r.source,
             ingredient_lines: r
-                .ids
+                .ingredients()
                 .iter()
                 .map(|&id| {
                     world
@@ -478,27 +489,26 @@ fn main() {
                 .collect(),
         })
         .collect();
+    let wal_root = std::env::temp_dir().join(format!("culinaria-bench-wal-{}", std::process::id()));
     let mut wal_rows = Vec::new();
-    for policy in [
-        culinaria_recipedb::FsyncPolicy::Always,
-        culinaria_recipedb::FsyncPolicy::Batch,
-        culinaria_recipedb::FsyncPolicy::Off,
-    ] {
-        let dir = std::env::temp_dir().join(format!(
-            "culinaria-bench-wal-{}-{policy}",
-            std::process::id()
-        ));
+    for policy in [FsyncPolicy::Always, FsyncPolicy::Batch, FsyncPolicy::Off] {
+        let dir = wal_root.join(policy.to_string());
         let _ = std::fs::remove_dir_all(&dir);
-        let mut log = culinaria_recipedb::SegmentedLog::open(&dir, policy, segment_bytes)
-            .expect("open segmented wal");
-        let mut live = RecipeStore::new();
-        let t = Instant::now();
-        for chunk in wal_raws.chunks(16) {
-            log.append_batch(&world.flavor, &importer, &mut live, chunk, 2)
-                .expect("wal append");
-        }
-        log.sync().expect("final sync");
-        let append_ms = t.elapsed().as_secs_f64() * 1e3;
+        // Grow a fresh log in `dir` by every batch; returns the log and
+        // the store the appends grew.
+        let append = |dir: &std::path::Path| {
+            let mut log =
+                SegmentedLog::open(dir, policy, segment_bytes).expect("open segmented wal");
+            let mut live = RecipeStore::new();
+            for chunk in wal_raws.chunks(16) {
+                log.append_batch(&world.flavor, &importer, &mut live, chunk, 2)
+                    .expect("wal append");
+            }
+            log.sync().expect("final sync");
+            (log, live)
+        };
+        let checked = dir.join("checked");
+        let (log, live) = append(&checked);
         let n_segments = log.n_segments();
         assert!(
             n_segments >= 2,
@@ -510,20 +520,16 @@ fn main() {
             .expect("live artifact");
         drop(log);
 
-        let t = Instant::now();
-        let reopened = culinaria_recipedb::SegmentedLog::open(&dir, policy, segment_bytes)
-            .expect("reopen segmented wal");
-        let reopen_ms = t.elapsed().as_secs_f64() * 1e3;
+        let reopened =
+            SegmentedLog::open(&checked, policy, segment_bytes).expect("reopen segmented wal");
         assert!(
             !reopened.recovery().recovered(),
             "clean close reopened torn"
         );
         assert_eq!(reopened.len(), wal_raws.len(), "records lost across reopen");
-        let t = Instant::now();
         let (replayed, _) = reopened
             .replay(&world.flavor, &importer, 2)
             .expect("wal replay");
-        let replay_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(
             RecipeArtifactBuilder::new(&replayed)
                 .build()
@@ -537,7 +543,7 @@ fn main() {
         // open while every whole record survives.
         {
             use std::io::Write as _;
-            let open_seg = std::fs::read_dir(&dir)
+            let open_seg = std::fs::read_dir(&checked)
                 .expect("wal dir")
                 .flatten()
                 .map(|e| e.path())
@@ -550,39 +556,70 @@ fn main() {
                 .expect("damage open segment");
             f.write_all(&[0xAA; 7]).expect("append torn bytes");
         }
-        let torn = culinaria_recipedb::SegmentedLog::open(&dir, policy, segment_bytes)
-            .expect("reopen torn wal");
+        let torn = SegmentedLog::open(&checked, policy, segment_bytes).expect("reopen torn wal");
         assert_eq!(torn.recovery().truncated_bytes, 7, "torn tail not measured");
         assert_eq!(torn.len(), wal_raws.len(), "torn tail ate whole records");
+
+        // Timed: every append rep grows its own fresh log; reopen and
+        // replay read the first of them.
+        let mut rep = 0;
+        let [append_t] = harness::time_ms(
+            TIME_REPS,
+            [&mut || {
+                rep += 1;
+                append(&dir.join(format!("rep{rep}")))
+            }],
+        );
+        let timed = dir.join("rep1");
+        let [reopen_t] = harness::time_ms(
+            TIME_REPS,
+            [&mut || SegmentedLog::open(&timed, policy, segment_bytes).expect("reopen")],
+        );
+        let log = SegmentedLog::open(&timed, policy, segment_bytes).expect("reopen");
+        let [replay_t] = harness::time_ms(
+            TIME_REPS,
+            [&mut || log.replay(&world.flavor, &importer, 2).expect("wal replay")],
+        );
         eprintln!(
             "wal fsync={policy}: {} records over {n_segments} segments — \
-             append {append_ms:.1}ms, reopen {reopen_ms:.2}ms, replay {replay_ms:.1}ms",
-            wal_raws.len()
+             append {:.1}ms, reopen {:.2}ms, replay {:.1}ms",
+            wal_raws.len(),
+            append_t.min(),
+            reopen_t.min(),
+            replay_t.min()
         );
-        wal_rows.push(format!(
-            "    {{ \"fsync\": \"{policy}\", \"records\": {}, \"segments\": {n_segments}, \
-             \"segment_bytes\": {segment_bytes}, \"append_ms\": {append_ms:.3}, \
-             \"reopen_ms\": {reopen_ms:.3}, \"replay_ms\": {replay_ms:.3}, \
-             \"torn_tail_recovered\": true, \"parity\": \"ok\" }}",
-            wal_raws.len()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
+        wal_rows.push(
+            Obj::default()
+                .set("fsync", policy.to_string())
+                .set("records", wal_raws.len())
+                .set("segments", n_segments)
+                .set("segment_bytes", segment_bytes)
+                .stat("append_ms", &append_t)
+                .stat("reopen_ms", &reopen_t)
+                .stat("replay_ms", &replay_t)
+                .set("torn_tail_recovered", true)
+                .set("parity", "ok"),
+        );
     }
+    let _ = std::fs::remove_dir_all(&wal_root);
 
-    let json = format!(
-        "{{\n  \"bench\": \"stream\",\n  \"seed\": {seed},\n  \
-         \"stream_recipes\": {n},\n  \"mc_recipes\": {mc},\n  \
-         \"parity\": \"incremental state bit-identical to cold rebuilds per config; \
-         post-swap serve answers bit-identical to a cold server; \
-         segmented WAL replays bit-identical to the live store\",\n  \
-         \"incremental\": [\n{inc}\n  ],\n  \"serving\": [\n{serve}\n  ],\n  \
-         \"wal\": [\n{wal}\n  ]\n}}\n",
-        n = stream.len(),
-        inc = inc_rows.join(",\n"),
-        serve = serve_rows.join(",\n"),
-        wal = wal_rows.join(",\n"),
-    );
-    std::fs::write(&out_path, &json).expect("write bench summary");
-    println!("{json}");
-    eprintln!("wrote {out_path}");
+    let run = Run {
+        seed,
+        scale: Some(world_cfg.recipe_scale),
+        threads: 0,
+        reps: TIME_REPS,
+    };
+    harness::summary("stream", run)
+        .set("stream_recipes", stream.len())
+        .set("mc_recipes", mc)
+        .set(
+            "parity",
+            "incremental state bit-identical to cold rebuilds per config; \
+             post-swap serve answers bit-identical to a cold server; \
+             segmented WAL replays bit-identical to the live store",
+        )
+        .set("incremental", inc_rows)
+        .set("serving", serve_rows)
+        .set("wal", wal_rows)
+        .write("BENCH_stream.json");
 }

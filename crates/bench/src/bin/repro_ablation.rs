@@ -28,6 +28,7 @@ fn median(mut xs: Vec<f64>) -> f64 {
 }
 
 fn main() {
+    culinaria_bench::check_args();
     // Ablations run at reduced scale: the effects are large.
     let scale = 0.05;
     let mc = MonteCarloConfig {

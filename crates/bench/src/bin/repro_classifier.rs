@@ -3,7 +3,7 @@
 //! evaluated on the held-out half. High accuracy confirms the paper's
 //! premise that recipe compositions carry a regional signature.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::classify::CuisineClassifier;
 use culinaria_recipedb::{Recipe, Region};
 
@@ -12,6 +12,7 @@ fn is_even(r: &Recipe) -> bool {
 }
 
 fn main() {
+    check_args();
     let world = world_from_env();
 
     let clf = CuisineClassifier::train_filtered(&world.recipes, is_even);

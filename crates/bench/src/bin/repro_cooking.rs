@@ -2,12 +2,13 @@
 //! of flavor in the process of cooking?"* — the cooking model's effect
 //! on pairing scores across methods, on the generated world.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::cooking::{CookingMethod, Kitchen};
 use culinaria_core::pairing::recipe_pairing_score;
 use culinaria_recipedb::Region;
 
 fn main() {
+    check_args();
     let world = world_from_env();
     let kitchen = Kitchen::new(&world.flavor);
 

@@ -3,12 +3,13 @@
 //! patterns". This harness runs the model and compares its emergent
 //! rank-frequency scaling with the generated world's cuisines.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::evolution::{run_copy_mutate, CopyMutateConfig};
 use culinaria_core::popularity::world_popularity_profiles;
 use culinaria_stats::powerlaw::{cumulative_share, zipf_exponent};
 
 fn main() {
+    check_args();
     let world = world_from_env();
 
     section("Copy-mutate culinary evolution model (Jain & Bagler 2018)");

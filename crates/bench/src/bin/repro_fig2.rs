@@ -2,7 +2,7 @@
 //! and checks the deviations the paper narrates (dairy-over-vegetable
 //! regions; spice-predominant regions).
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::composition::{
     category_shares, composition_deviation_frame, composition_frame,
 };
@@ -10,6 +10,7 @@ use culinaria_flavordb::Category;
 use culinaria_recipedb::Region;
 
 fn main() {
+    check_args();
     let world = world_from_env();
 
     section("Fig 2 — Compositions of recipes in terms of ingredient categories");

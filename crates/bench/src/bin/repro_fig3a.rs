@@ -1,11 +1,12 @@
 //! Reproduces **Fig 3a**: the recipe-size distribution and its
 //! cumulative inset, pooled and per region.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::size_dist::{size_distribution_frame, size_histogram, world_size_histogram};
 use culinaria_recipedb::Region;
 
 fn main() {
+    check_args();
     let world = world_from_env();
 
     section("Fig 3a — Recipe size distribution (P(s) per region, WORLD pooled + cumulative)");

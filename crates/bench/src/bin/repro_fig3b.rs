@@ -3,12 +3,13 @@
 //! cumulative-share inset and the cross-region scaling consistency the
 //! paper highlights.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::popularity::{
     popularity_frame, popularity_summary_frame, world_popularity_profiles,
 };
 
 fn main() {
+    check_args();
     let world = world_from_env();
     let profiles = world_popularity_profiles(&world.recipes);
 

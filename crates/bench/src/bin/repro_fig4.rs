@@ -16,9 +16,9 @@ use culinaria_core::z_analysis::{analyses_to_frame, analyze_world_observed};
 use culinaria_core::NullModel;
 
 fn main() {
+    let sink = metrics_from_env();
     let world = world_from_env();
     let cfg = mc_config_from_env();
-    let sink = metrics_from_env();
     eprintln!(
         "monte carlo: {} recipes per model, 4 models, 22 regions",
         cfg.n_recipes

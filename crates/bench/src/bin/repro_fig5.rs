@@ -3,11 +3,12 @@
 //! food pairing of contrasting-blend cuisines, measured as the
 //! percentage change in the cuisine's pairing score on removal.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::contribution::top_contributors;
 use culinaria_recipedb::Region;
 
 fn main() {
+    check_args();
     let world = world_from_env();
 
     section("Fig 5(a) — Top 3 ingredients contributing to POSITIVE food pairing");

@@ -7,8 +7,8 @@ use culinaria_core::network::FlavorNetwork;
 use culinaria_recipedb::Region;
 
 fn main() {
-    let world = world_from_env();
     let sink = metrics_from_env();
+    let world = world_from_env();
 
     section("Flavor-network statistics per cuisine");
     println!(

@@ -17,8 +17,8 @@ use culinaria_stats::zscore::z_score_of_mean;
 const N_NULL: usize = 10_000;
 
 fn main() {
-    let world = world_from_env();
     let sink = metrics_from_env();
+    let world = world_from_env();
 
     section("N-tuple flavor sharing: observed mean and z vs Random, k = 2, 3, 4");
     println!(

@@ -2,7 +2,7 @@
 //! changes in recipes data and flavor profiles?"* — recipe-subsampling
 //! and profile-dilution robustness of the Fig 4 signs.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::robustness::{profile_robustness, subsample_robustness};
 use culinaria_core::MonteCarloConfig;
 use culinaria_recipedb::Region;
@@ -17,6 +17,7 @@ const MC: MonteCarloConfig = MonteCarloConfig {
 const TRIALS: usize = 10;
 
 fn main() {
+    check_args();
     let world = world_from_env();
 
     section("Recipe subsampling (60% of recipes, 10 trials): z stability");

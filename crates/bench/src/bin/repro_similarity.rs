@@ -4,12 +4,13 @@
 //! matrix over ingredient-usage fingerprints and an average-linkage
 //! clustering of the 22 cuisines.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_core::fingerprint::{
     agglomerate, cosine_similarity, similarity_matrix, world_fingerprints,
 };
 
 fn main() {
+    check_args();
     let world = world_from_env();
     let fingerprints = world_fingerprints(&world.flavor, &world.recipes, 0);
 

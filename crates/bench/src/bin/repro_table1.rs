@@ -1,11 +1,12 @@
 //! Reproduces **Table 1**: recipes and unique ingredients per region,
 //! plus the aggregate totals the paper quotes in the text.
 
-use culinaria_bench::{section, world_from_env};
+use culinaria_bench::{check_args, section, world_from_env};
 use culinaria_recipedb::Region;
 use culinaria_tabular::{Column, Frame};
 
 fn main() {
+    check_args();
     let world = world_from_env();
 
     section("Table 1 — Statistics of recipes and ingredients across world cuisines");

@@ -145,3 +145,23 @@ fn cooking_reports_method_table() {
     assert!(out.contains("boiled"));
     assert!(out.contains("homogenize"));
 }
+
+#[test]
+fn malformed_knobs_and_flags_exit_2_naming_them() {
+    let table1 = env!("CARGO_BIN_EXE_repro_table1");
+    for (env, args, named) in [
+        (Some("0,01"), &[][..], "CULINARIA_SCALE"),
+        (None, &["--scale", "0.5"][..], "--scale"),
+    ] {
+        let mut cmd = Command::new(table1);
+        cmd.args(args).env_remove("CULINARIA_SCALE");
+        if let Some(scale) = env {
+            cmd.env("CULINARIA_SCALE", scale);
+        }
+        let out = cmd.output().expect("run repro_table1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{stderr}");
+        assert!(out.stdout.is_empty(), "refused before any work");
+    }
+}

@@ -10,8 +10,7 @@
 //! upper bound of the bucket where the cumulative count crosses the
 //! rank — conservative, at most 2× relative error) and
 //! `quantile_interp_us` (linear interpolation inside that bucket under
-//! a uniform-within-bucket assumption — what the renderers and
-//! `bench_serve` report).
+//! a uniform-within-bucket assumption — what the renderers report).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -15,7 +15,8 @@
 //! - `TOPK` — top-k novel pairings (high overlap, low co-occurrence),
 //! - `SCORE` — free-text recipe import-and-score.
 //!
-//! The perf core is three mechanisms, each measured by `bench_serve`:
+//! The perf core is three mechanisms, each asserted by the serve tests
+//! and timed end to end by perfbench's `serve-hot`/`serve-cold`:
 //! deterministic request batching over `culinaria_stats::pool`
 //! ([`server`] docs give the bit-identity argument), a bounded LRU
 //! response cache over interned ingredient-id sets ([`cache`]), and

@@ -375,7 +375,7 @@ pub fn score_body(resolved_lines: usize, total_lines: usize, n_ids: usize, score
 }
 
 /// A minimal blocking client for one frame stream — what the CLI
-/// examples, tests, and the `bench_serve` load generator drive.
+/// examples, the tests, and `bench_stream` drive.
 #[derive(Debug)]
 pub struct Client<S> {
     stream: S,

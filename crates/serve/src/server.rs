@@ -16,8 +16,8 @@
 //! (lazily initialized through `OnceLock`, so exactly one build wins
 //! and every worker sees the same tables), which makes a batch's
 //! responses — and the cache's evolution — bit-identical to serial
-//! execution at any worker count. `bench_serve` and the serve tests
-//! assert exactly that.
+//! execution at any worker count. The serve tests assert exactly that,
+//! with the response cache on and off.
 //!
 //! # Generations and ingest
 //!

@@ -171,28 +171,34 @@ fn mixed_requests(world: &World) -> Vec<(u64, Request)> {
 
 #[test]
 fn batch_responses_bit_identical_across_thread_counts() {
+    // Every (threads × cache) configuration answers byte-identically;
+    // hit/miss counts must also agree across the cache-on runs.
     let world = tiny_world();
-    let mc = 300;
-    let mut reference: Option<(Vec<String>, u64, u64)> = None;
+    let mut reference: Option<Vec<String>> = None;
+    let mut counts: Option<(u64, u64)> = None;
     for threads in [1usize, 2, 4, 8] {
-        let cfg = ServeConfig {
-            threads,
-            mc_recipes: mc,
-            ..ServeConfig::default()
-        };
-        let server = server_over(&world, cfg);
-        let reqs = mixed_requests(&world);
-        let mut responses = Vec::new();
-        // Two successive batches so cache state crosses a batch edge.
-        let (front, back) = reqs.split_at(reqs.len() / 2);
-        responses.extend(server.handle_batch(front));
-        responses.extend(server.handle_batch(back));
-        let stats = server.cache_stats().expect("cache on");
-        match &reference {
-            None => reference = Some((responses, stats.hits, stats.misses)),
-            Some((ref_responses, hits, misses)) => {
-                assert_eq!(&responses, ref_responses, "thread count {threads} diverged");
-                assert_eq!((stats.hits, stats.misses), (*hits, *misses));
+        for cache_entries in [0, 4096] {
+            let cfg = ServeConfig {
+                threads,
+                cache_entries,
+                mc_recipes: 300,
+                ..ServeConfig::default()
+            };
+            let server = server_over(&world, cfg);
+            let reqs = mixed_requests(&world);
+            let mut responses = Vec::new();
+            // Two successive batches so cache state crosses a batch edge.
+            let (front, back) = reqs.split_at(reqs.len() / 2);
+            responses.extend(server.handle_batch(front));
+            responses.extend(server.handle_batch(back));
+            let label = format!("threads {threads}, cache {cache_entries}");
+            match &reference {
+                None => reference = Some(responses),
+                Some(first) => assert_eq!(&responses, first, "{label} diverged"),
+            }
+            if let Some(stats) = server.cache_stats() {
+                let seen = counts.get_or_insert((stats.hits, stats.misses));
+                assert_eq!((stats.hits, stats.misses), *seen, "{label} counters");
             }
         }
     }
