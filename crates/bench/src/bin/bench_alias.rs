@@ -26,6 +26,7 @@ use culinaria_bench::harness::{self, Run};
 use culinaria_bench::{check_args, env_or};
 use culinaria_flavordb::curated::curated_db;
 use culinaria_flavordb::FlavorDb;
+use culinaria_obs::Metrics;
 use culinaria_recipedb::import::{Importer, RawRecipe};
 use culinaria_recipedb::{RecipeStore, Region, Source};
 use culinaria_text::alias::{AliasResolver, ResolveScratch};
@@ -205,13 +206,18 @@ fn main() {
     let importer = Importer::from_flavor_db(&db);
     let mut serial_store = RecipeStore::new();
     let serial_stats = importer
-        .import(&db, &mut serial_store, &raws)
+        .import_batch(&db, &mut serial_store, &raws, 1)
         .expect("serial import");
     let mut batch_store = RecipeStore::new();
+    let batch_metrics = Metrics::enabled();
     let batch_stats = importer
-        .import_batch(&db, &mut batch_store, &raws, n_threads)
+        .import_batch_observed(&db, &mut batch_store, &raws, n_threads, &batch_metrics)
         .expect("batch import");
     assert_eq!(batch_stats, serial_stats, "batch import stats diverged");
+    let import_mode = match batch_metrics.snapshot().counter("import.mode.pooled") {
+        Some(_) => "pooled",
+        None => "serial",
+    };
 
     for threads in [1usize, 2, 8] {
         let mut store = RecipeStore::new();
@@ -253,7 +259,7 @@ fn main() {
         [
             &mut || {
                 let mut store = RecipeStore::new();
-                let stats = importer.import(&db, &mut store, &raws);
+                let stats = importer.import_batch(&db, &mut store, &raws, 1);
                 assert_eq!(stats.as_ref(), Ok(&serial_stats));
                 store
             },
@@ -298,7 +304,7 @@ fn main() {
         .stat("import_serial_ms", &import_serial)
         .stat("import_batch_ms", &import_batch)
         .set("import_speedup", import_speedup)
-        .set("import_mode", batch_stats.mode.to_string())
+        .set("import_mode", import_mode)
         .set("import_reps", TIME_REPS)
         .set("parity", "byte-identical")
         .write("BENCH_alias.json");

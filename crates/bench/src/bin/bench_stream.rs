@@ -34,8 +34,8 @@
 //! threshold, default 4096), `CULINARIA_BENCH_OUT`.
 //!
 //! A third regime smokes the durable segmented WAL (`DESIGN.md` §15):
-//! reopen/replay parity against the live store and torn-tail recovery,
-//! then the per-fsync-policy append, reopen and replay cost over
+//! reopen/replay parity against a cold import and torn-tail recovery,
+//! then the per-fsync-policy `ingest`, reopen and replay cost over
 //! rotating segments.
 //!
 //! Every timing reports min, median and MAD over `TIME_REPS` repeats;
@@ -464,9 +464,9 @@ fn main() {
     }
 
     // ---- Part 3: segmented-WAL durability smoke (DESIGN.md §15) —
-    // a reopen whose recovered log must replay bit-identically to the
-    // store the appends grew, including after a torn tail; then the
-    // per-fsync-policy append cost over rotating CWAL1 segments and
+    // a reopen whose recovered log must replay bit-identically to a
+    // cold import of the same raws, including after a torn tail; then
+    // the per-fsync-policy ingest cost over rotating CWAL1 segments and
     // the reopen and replay cost of the result.
     let importer = Importer::from_flavor_db(&world.flavor);
     let wal_raws: Vec<RawRecipe> = all[..wal_recipes.min(all.len())]
@@ -489,35 +489,37 @@ fn main() {
                 .collect(),
         })
         .collect();
+    let mut cold = RecipeStore::new();
+    importer
+        .import_batch(&world.flavor, &mut cold, &wal_raws, 1)
+        .expect("cold import");
+    let cold_bytes = RecipeArtifactBuilder::new(&cold)
+        .build()
+        .expect("cold artifact");
     let wal_root = std::env::temp_dir().join(format!("culinaria-bench-wal-{}", std::process::id()));
     let mut wal_rows = Vec::new();
     for policy in [FsyncPolicy::Always, FsyncPolicy::Batch, FsyncPolicy::Off] {
         let dir = wal_root.join(policy.to_string());
         let _ = std::fs::remove_dir_all(&dir);
-        // Grow a fresh log in `dir` by every batch; returns the log and
-        // the store the appends grew.
+        // Grow a fresh log in `dir` by ingesting every batch.
         let append = |dir: &std::path::Path| {
-            let mut log =
-                SegmentedLog::open(dir, policy, segment_bytes).expect("open segmented wal");
-            let mut live = RecipeStore::new();
+            let mut log = SegmentedLog::open_for(dir, policy, segment_bytes, &importer)
+                .expect("open segmented wal");
             for chunk in wal_raws.chunks(16) {
-                log.append_batch(&world.flavor, &importer, &mut live, chunk, 2)
-                    .expect("wal append");
+                log.ingest(&world.flavor, &importer, chunk, 2, &Metrics::disabled())
+                    .expect("wal ingest");
             }
             log.sync().expect("final sync");
-            (log, live)
+            log
         };
         let checked = dir.join("checked");
-        let (log, live) = append(&checked);
+        let log = append(&checked);
         let n_segments = log.n_segments();
         assert!(
             n_segments >= 2,
             "segment rotation never kicked in ({n_segments} segment(s) at \
              {segment_bytes} bytes) — durability smoke needs a sealed segment"
         );
-        let live_bytes = RecipeArtifactBuilder::new(&live)
-            .build()
-            .expect("live artifact");
         drop(log);
 
         let reopened =
@@ -534,8 +536,8 @@ fn main() {
             RecipeArtifactBuilder::new(&replayed)
                 .build()
                 .expect("replay artifact"),
-            live_bytes,
-            "replayed store diverged from the live store ({policy})"
+            cold_bytes,
+            "replayed store diverged from a cold import ({policy})"
         );
         drop(reopened);
 
@@ -560,7 +562,7 @@ fn main() {
         assert_eq!(torn.recovery().truncated_bytes, 7, "torn tail not measured");
         assert_eq!(torn.len(), wal_raws.len(), "torn tail ate whole records");
 
-        // Timed: every append rep grows its own fresh log; reopen and
+        // Timed: every ingest rep grows its own fresh log; reopen and
         // replay read the first of them.
         let mut rep = 0;
         let [append_t] = harness::time_ms(
@@ -616,7 +618,7 @@ fn main() {
             "parity",
             "incremental state bit-identical to cold rebuilds per config; \
              post-swap serve answers bit-identical to a cold server; \
-             segmented WAL replays bit-identical to the live store",
+             segmented WAL replays bit-identical to a cold import",
         )
         .set("incremental", inc_rows)
         .set("serving", serve_rows)

@@ -17,16 +17,15 @@
 //! merge** over the pool's in-order results, so recipe ids, stored
 //! recipes, and [`ImportStats`] (including the frequency-ranked
 //! unresolved-token list) are bit-identical for every thread count.
-//! [`Importer::import`] is the single-threaded special case.
 //!
 //! The fan-out is **adaptive**: when the requested thread count
 //! resolves ([`pool::effective_threads`]) to a single worker, or the
 //! batch is too small to amortize pool spin-up, resolution runs
 //! inline on the calling thread — same outcomes (including panic
 //! isolation and lowest-index-wins), none of the pool overhead. The
-//! chosen path is recorded in [`ImportStats::mode`]; because it is
-//! schedule metadata (the *products* are identical either way), `mode`
-//! is excluded from `ImportStats` equality.
+//! chosen path is schedule metadata, not a product of the import, so
+//! it is not in [`ImportStats`]: [`Importer::import_batch_observed`]
+//! records it as the `import.mode.{serial,pooled}` counter.
 //!
 //! # Failure collection
 //!
@@ -51,7 +50,7 @@ use culinaria_stats::{fault, pool};
 use culinaria_text::alias::{AliasResolver, ResolveScratch};
 
 use crate::error::{RecipeDbError, Result};
-use crate::recipe::{RecipeId, Source};
+use crate::recipe::Source;
 use crate::region::Region;
 use crate::store::RecipeStore;
 use crate::wal::{fnv1a64_extend, FNV_OFFSET};
@@ -70,15 +69,14 @@ pub struct RawRecipe {
     pub ingredient_lines: Vec<String>,
 }
 
-/// How a batch import's resolve stage actually ran
-/// (see [`ImportStats::mode`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ImportMode {
-    /// Resolution ran inline on the calling thread (single effective
+/// How a batch import's resolve stage runs, recorded only as the
+/// `import.mode.{serial,pooled}` counter.
+#[derive(Debug, Clone, Copy)]
+enum ImportMode {
+    /// Resolution runs inline on the calling thread (single effective
     /// worker, or a batch below the pool-granularity threshold).
-    #[default]
     Serial,
-    /// Resolution fanned out across the shared worker pool.
+    /// Resolution fans out across the shared worker pool.
     Pooled,
 }
 
@@ -88,15 +86,6 @@ impl ImportMode {
         match self {
             ImportMode::Serial => "import.mode.serial",
             ImportMode::Pooled => "import.mode.pooled",
-        }
-    }
-}
-
-impl fmt::Display for ImportMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ImportMode::Serial => write!(f, "serial"),
-            ImportMode::Pooled => write!(f, "pooled"),
         }
     }
 }
@@ -120,7 +109,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Statistics of one import run.
-#[derive(Debug, Clone, Default, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ImportStats {
     /// Raw recipes offered to the importer.
     pub offered: usize,
@@ -142,36 +131,6 @@ pub struct ImportStats {
     /// succeeds. Deterministic: produced in the serial merge, so
     /// identical for every thread count.
     pub failures: Vec<RecipeFailure>,
-    /// How the resolve stage ran ([`ImportMode::Serial`] inline or
-    /// [`ImportMode::Pooled`] across workers). Schedule metadata, not a
-    /// product of the import — excluded from equality, like the
-    /// per-worker memo counters before it.
-    pub mode: ImportMode,
-}
-
-// `mode` records *how* the batch ran, not *what* it produced; two runs
-// of the same batch at different thread counts are equal. Every other
-// field participates.
-impl PartialEq for ImportStats {
-    fn eq(&self, other: &ImportStats) -> bool {
-        let ImportStats {
-            offered,
-            stored,
-            dropped,
-            lines_resolved,
-            lines_unresolved,
-            unresolved_tokens,
-            failures,
-            mode: _,
-        } = self;
-        *offered == other.offered
-            && *stored == other.stored
-            && *dropped == other.dropped
-            && *lines_resolved == other.lines_resolved
-            && *lines_unresolved == other.lines_unresolved
-            && *unresolved_tokens == other.unresolved_tokens
-            && *failures == other.failures
-    }
 }
 
 /// Why one recipe of a batch was not stored.
@@ -424,26 +383,15 @@ impl Importer {
         out
     }
 
-    /// Import a batch of raw recipes into `store`, resolving through
-    /// `db`. Recipes where no line resolves are dropped and counted.
-    ///
-    /// Equivalent to [`Importer::import_batch`] with one thread.
-    pub fn import(
-        &self,
-        db: &FlavorDb,
-        store: &mut RecipeStore,
-        raw: &[RawRecipe],
-    ) -> Result<ImportStats> {
-        self.import_batch(db, store, raw, 1)
-    }
-
-    /// Import a batch of raw recipes, resolving lines on `n_threads`
-    /// workers (`0` = use the machine).
+    /// Import a batch of raw recipes into `store`, resolving lines on
+    /// `n_threads` workers (`0` = use the machine). Recipes where no
+    /// line resolves are dropped and counted.
     ///
     /// The fan-out is adaptive: when [`pool::effective_threads`]
     /// resolves to one worker, or the batch is below the granularity
     /// threshold, resolution runs inline instead of through the pool
-    /// ([`ImportStats::mode`] records which path ran).
+    /// (the observed import's `import.mode.*` counter records which
+    /// path ran).
     ///
     /// Determinism contract: per-recipe resolution is a pure function
     /// of the recipe, the pool returns results in task order, and all
@@ -568,7 +516,6 @@ impl Importer {
         let mut memo_misses = 0u64;
         let mut stats = ImportStats {
             offered: raw.len(),
-            mode,
             ..ImportStats::default()
         };
         let mut token_counts: std::collections::HashMap<String, usize> =
@@ -664,22 +611,10 @@ impl Importer {
     }
 }
 
-/// Convenience: one stored recipe from raw lines, or `None` if nothing
-/// resolved.
-pub fn import_one(
-    importer: &Importer,
-    db: &FlavorDb,
-    store: &mut RecipeStore,
-    raw: &RawRecipe,
-) -> Result<Option<RecipeId>> {
-    let before = store.n_recipes();
-    importer.import(db, store, std::slice::from_ref(raw))?;
-    Ok((store.n_recipes() > before).then_some(RecipeId(before as u32)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recipe::RecipeId;
     use culinaria_flavordb::curated::curated_db;
 
     fn raw(name: &str, lines: &[&str]) -> RawRecipe {
@@ -697,7 +632,7 @@ mod tests {
         let importer = Importer::from_flavor_db(&db);
         let mut store = RecipeStore::new();
         let stats = importer
-            .import(
+            .import_batch(
                 &db,
                 &mut store,
                 &[raw(
@@ -709,6 +644,7 @@ mod tests {
                         "fresh basil leaves, torn",
                     ],
                 )],
+                1,
             )
             .unwrap();
         assert_eq!(stats.stored, 1);
@@ -728,7 +664,7 @@ mod tests {
         let importer = Importer::from_flavor_db(&db);
         let mut store = RecipeStore::new();
         importer
-            .import(&db, &mut store, &[raw("toast", &["1 bun", "250g curd"])])
+            .import_batch(&db, &mut store, &[raw("toast", &["1 bun", "250g curd"])], 1)
             .unwrap();
         let r = store.recipe(RecipeId(0)).unwrap();
         assert!(r.contains(db.ingredient_by_name("bread").unwrap()));
@@ -741,10 +677,11 @@ mod tests {
         let importer = Importer::from_flavor_db(&db);
         let mut store = RecipeStore::new();
         let stats = importer
-            .import(
+            .import_batch(
                 &db,
                 &mut store,
                 &[raw("mystery", &["2 cups quixotic zanthum"])],
+                1,
             )
             .unwrap();
         assert_eq!(stats.stored, 0);
@@ -767,13 +704,14 @@ mod tests {
         let importer = Importer::from_flavor_db(&db);
         let mut store = RecipeStore::new();
         let stats = importer
-            .import(
+            .import_batch(
                 &db,
                 &mut store,
                 &[
                     raw("a", &["zanthum paste", "tomato"]),
                     raw("b", &["zanthum powder", "garlic"]),
                 ],
+                1,
             )
             .unwrap();
         // "zanthum" occurred twice, collapsed into one ranked entry.
@@ -810,7 +748,9 @@ mod tests {
             })
             .collect();
         let mut serial_store = RecipeStore::new();
-        let serial_stats = importer.import(&db, &mut serial_store, &raws).unwrap();
+        let serial_stats = importer
+            .import_batch(&db, &mut serial_store, &raws, 1)
+            .unwrap();
         for threads in [1, 2, 8] {
             let mut store = RecipeStore::new();
             let stats = importer
@@ -872,8 +812,8 @@ mod tests {
         assert_eq!(hits, 1);
         // A 3-recipe batch resolves inline: the mode is recorded and
         // the pool is never spun up.
-        assert_eq!(stats.mode, ImportMode::Serial);
         assert_eq!(snap.counter("import.mode.serial"), Some(1));
+        assert_eq!(snap.counter("import.mode.pooled"), None);
         assert_eq!(snap.counter("pool.runs"), None);
         assert_eq!(snap.span("import.resolve").unwrap().calls, 1);
         assert_eq!(snap.span("import.merge").unwrap().calls, 1);
@@ -898,9 +838,9 @@ mod tests {
         let serial = importer
             .import_batch_observed(&db, &mut store, &big, 1, &metrics)
             .unwrap();
-        assert_eq!(serial.mode, ImportMode::Serial);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("import.mode.serial"), Some(1));
+        assert_eq!(snap.counter("import.mode.pooled"), None);
         assert_eq!(snap.counter("pool.runs"), None);
 
         // Big batch, two requested workers → pooled (effective_threads
@@ -911,9 +851,9 @@ mod tests {
         let pooled = importer
             .import_batch_observed(&db, &mut pooled_store, &big, 2, &metrics)
             .unwrap();
-        assert_eq!(pooled.mode, ImportMode::Pooled);
         let snap = metrics.snapshot();
         assert_eq!(snap.counter("import.mode.pooled"), Some(1));
+        assert_eq!(snap.counter("import.mode.serial"), None);
         assert_eq!(snap.counter("pool.runs"), Some(1));
         assert_eq!(pooled, serial);
         assert_eq!(pooled_store.n_recipes(), store.n_recipes());
@@ -923,25 +863,11 @@ mod tests {
 
         // Small batch, many workers → serial (below the granularity
         // threshold).
-        let mut small_store = RecipeStore::new();
-        let small = importer
-            .import_batch(&db, &mut small_store, &big[..8], 8)
+        let metrics = Metrics::enabled();
+        importer
+            .import_batch_observed(&db, &mut RecipeStore::new(), &big[..8], 8, &metrics)
             .unwrap();
-        assert_eq!(small.mode, ImportMode::Serial);
-    }
-
-    #[test]
-    fn mode_is_excluded_from_stats_equality() {
-        let a = ImportStats {
-            offered: 3,
-            mode: ImportMode::Serial,
-            ..ImportStats::default()
-        };
-        let mut b = a.clone();
-        b.mode = ImportMode::Pooled;
-        assert_eq!(a, b);
-        b.offered = 4;
-        assert_ne!(a, b);
+        assert_eq!(metrics.snapshot().counter("import.mode.serial"), Some(1));
     }
 
     #[test]
@@ -952,7 +878,9 @@ mod tests {
             .map(|i| raw(&format!("r{i}"), &["3 ripe tomatoes", "2 cloves garlic"]))
             .collect();
         let mut plain_store = RecipeStore::new();
-        let plain = importer.import(&db, &mut plain_store, &raws).unwrap();
+        let plain = importer
+            .import_batch(&db, &mut plain_store, &raws, 1)
+            .unwrap();
         for threads in [2, 8] {
             let metrics = Metrics::enabled();
             let mut store = RecipeStore::new();
@@ -978,7 +906,7 @@ mod tests {
         let importer = Importer::from_flavor_db(&db);
         let mut store = RecipeStore::new();
         let stats = importer
-            .import(
+            .import_batch(
                 &db,
                 &mut store,
                 &[
@@ -986,6 +914,7 @@ mod tests {
                     raw("fine", &["2 ripe tomatoes"]),
                     raw("mystery", &["quixotic zanthum"]),
                 ],
+                1,
             )
             .unwrap();
         assert_eq!(stats.stored, 1);
@@ -1032,14 +961,16 @@ mod tests {
         // Default tolerance (1.0): partially-resolved recipes are kept.
         let lax = Importer::from_flavor_db(&db);
         let mut store = RecipeStore::new();
-        let stats = lax.import(&db, &mut store, &[raw("murky", lines)]).unwrap();
+        let stats = lax
+            .import_batch(&db, &mut store, &[raw("murky", lines)], 1)
+            .unwrap();
         assert_eq!(stats.stored, 1);
         assert!(stats.failures.is_empty());
         // Strict tolerance: 2/3 unresolved > 0.5 drops it with context.
         let strict = Importer::from_flavor_db(&db).with_unresolved_threshold(0.5);
         let mut store = RecipeStore::new();
         let stats = strict
-            .import(&db, &mut store, &[raw("murky", lines)])
+            .import_batch(&db, &mut store, &[raw("murky", lines)], 1)
             .unwrap();
         assert_eq!(stats.stored, 0);
         assert_eq!(stats.dropped, 1);
@@ -1069,7 +1000,9 @@ mod tests {
             })
             .collect();
         let mut serial_store = RecipeStore::new();
-        let serial = importer.import(&db, &mut serial_store, &raws).unwrap();
+        let serial = importer
+            .import_batch(&db, &mut serial_store, &raws, 1)
+            .unwrap();
         assert_eq!(serial.failures.len(), 18);
         for threads in [2, 8] {
             let mut store = RecipeStore::new();
@@ -1078,19 +1011,6 @@ mod tests {
                 .unwrap();
             assert_eq!(stats, serial, "stats diverged at {threads} threads");
         }
-    }
-
-    #[test]
-    fn import_one_returns_id() {
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        let mut store = RecipeStore::new();
-        let id = import_one(&importer, &db, &mut store, &raw("x", &["tomato"]))
-            .unwrap()
-            .unwrap();
-        assert_eq!(id, RecipeId(0));
-        let none = import_one(&importer, &db, &mut store, &raw("y", &["xyzzy"])).unwrap();
-        assert!(none.is_none());
     }
 
     #[test]
@@ -1131,7 +1051,7 @@ mod tests {
         let importer = Importer::from_flavor_db(&db);
         let mut store = RecipeStore::new();
         importer
-            .import(&db, &mut store, &[raw("drink", &["a shot of whisky"])])
+            .import_batch(&db, &mut store, &[raw("drink", &["a shot of whisky"])], 1)
             .unwrap();
         let r = store.recipe(RecipeId(0)).unwrap();
         assert!(r.contains(db.ingredient_by_name("whiskey").unwrap()));

@@ -19,12 +19,13 @@
 //!   alias resolution (`culinaria-text`) → ingredient ids
 //!   (`culinaria-flavordb`), with per-import curation statistics;
 //! * [`io`] — CSV export;
-//! * [`wal`] — the append-only, checksummed import log with
-//!   deterministic replay (streaming ingestion);
-//! * [`segment`] — the durable on-disk form of the log: size-rotated
+//! * [`segment`] — the import log for streaming ingestion: size-rotated
 //!   CWAL1 segment files with an atomically-renamed manifest,
-//!   configurable fsync policy, torn-tail recovery, and the importer
-//!   stamp that lets `ingest` append without re-resolving history.
+//!   configurable fsync policy, torn-tail recovery, deterministic
+//!   replay, and the importer stamp that lets `ingest` (its one batch
+//!   write) append without re-resolving history;
+//! * [`wal`] — the log's decoded [`WalRecord`]; the CWAL1 codec
+//!   underneath is crate-private.
 
 pub mod artifact;
 pub mod cuisine;
@@ -46,4 +47,4 @@ pub use recipe::{Recipe, RecipeId, Source};
 pub use region::Region;
 pub use segment::{FsyncPolicy, IngestError, RecoveryReport, SegmentedLog};
 pub use store::RecipeStore;
-pub use wal::{IngestLog, WalRecord};
+pub use wal::WalRecord;

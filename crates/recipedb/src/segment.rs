@@ -1,16 +1,14 @@
 //! Durable, size-rotated segment files for the CWAL1 import log.
 //!
-//! [`crate::wal::IngestLog`] is an in-memory byte image; persisting it
-//! means rewriting the whole file per append — O(n) each time, and a
-//! crash mid-rewrite can lose the entire log. [`SegmentedLog`] is the
-//! durable writer: records are appended to an *open segment file* with
-//! the exact CWAL1 record framing, fsynced under a configurable
-//! [`FsyncPolicy`], and rotated into sealed segments once the open one
-//! crosses a size threshold. Because appends only ever extend a file,
-//! a crash leaves at worst a torn tail on the last segment, which
-//! [`SegmentedLog::open`] truncates back to the last checksum-valid
-//! record boundary — the "shorter valid prefix" contract the in-memory
-//! log promises, made real on disk.
+//! [`SegmentedLog`] is the import log's one front end and
+//! [`SegmentedLog::ingest`] its one batch write path: records are
+//! appended to an *open segment file* in the [`crate::wal`] record
+//! framing, fsynced under a configurable [`FsyncPolicy`], and rotated
+//! into sealed segments once the open one crosses a size threshold.
+//! Because appends only ever extend a file, a crash leaves at worst a
+//! torn tail on the last segment, which [`SegmentedLog::open`]
+//! truncates back to the last checksum-valid record boundary: a shorter
+//! valid prefix of the log, never a rewritten one.
 //!
 //! # Directory grammar
 //!
@@ -34,9 +32,9 @@
 //! fully (corruption there is reported, not repaired); only the open
 //! segment is scanned leniently for a torn tail.
 //!
-//! Replay goes through the same code path as [`crate::wal::IngestLog`],
-//! so the replay-≡-batch determinism contract (bit-identical store and
-//! stats at every thread count) carries over unchanged.
+//! Replay runs the decoded records back through
+//! [`Importer::import_batch`], so the store and stats are bit-identical
+//! to a cold batch import of the same records at every thread count.
 //!
 //! # Importer stamp
 //!
@@ -49,8 +47,9 @@
 //! before stamps, or one written through the raw appends) or a
 //! different one makes `ingest` replay the whole log as a drift check
 //! first, and restamp only if that passes. Rotation and compaction
-//! carry the stamp forward; the raw appends drop it, since nothing
-//! checks their outcomes.
+//! carry the stamp forward; the raw [`SegmentedLog::append`] and
+//! [`SegmentedLog::append_tombstone`] drop it, since nothing checks
+//! their outcomes.
 
 // User-reachable durability surface: panicking on bad data or I/O
 // weather is forbidden here — return errors instead.
@@ -69,10 +68,7 @@ use culinaria_stats::fault;
 use crate::error::{RecipeDbError, Result};
 use crate::import::{ImportStats, Importer, RawRecipe};
 use crate::store::RecipeStore;
-use crate::wal::{
-    self, encode_raw, frame_record, header_bytes, replay_records, scan_valid_prefix, IngestLog,
-    WalRecord, HEADER_LEN, KIND_RECIPE, KIND_TOMBSTONE,
-};
+use crate::wal::{self, header_bytes, replay_records, WalRecord, HEADER_LEN};
 
 /// Manifest file name inside a segment directory.
 pub const MANIFEST: &str = "MANIFEST";
@@ -81,17 +77,17 @@ pub const MANIFEST_MAGIC: &str = "CWALM1";
 /// Prefix of the optional manifest line holding the importer stamp.
 const STAMP_PREFIX: &str = "importer ";
 
-/// When the open segment is fsynced.
+/// When the open segment is fsynced. Every policy fsyncs a segment
+/// when rotation seals it, and on an explicit [`SegmentedLog::sync`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every appended record. Slowest, smallest loss window
     /// (at most the record being appended at the crash).
     Always,
-    /// fsync once per [`SegmentedLog::append_batch`] (and on explicit
-    /// [`SegmentedLog::sync`]). The default: one fsync per ingest batch.
+    /// fsync once at the end of each [`SegmentedLog::ingest`]. The
+    /// default: one fsync per ingest batch.
     Batch,
     /// Never fsync on the append path; the OS flushes on its schedule.
-    /// [`SegmentedLog::sync`] and segment seals still sync.
     Off,
 }
 
@@ -180,6 +176,36 @@ enum IfMissing {
 
 /// The durable, size-rotated CWAL1 writer. See the module docs for the
 /// on-disk grammar and crash-consistency argument.
+///
+/// ```
+/// use culinaria_flavordb::curated::curated_db;
+/// use culinaria_obs::Metrics;
+/// use culinaria_recipedb::{FsyncPolicy, Importer, RawRecipe, Region, SegmentedLog, Source};
+///
+/// let db = curated_db();
+/// let importer = Importer::from_flavor_db(&db);
+/// let recipe = |name: &str, lines: &[&str]| RawRecipe {
+///     name: name.into(),
+///     region: Region::Italy,
+///     source: Source::Epicurious,
+///     ingredient_lines: lines.iter().map(|l| l.to_string()).collect(),
+/// };
+/// let raws = [recipe("bruschetta", &["tomato", "olive oil"]), recipe("mystery", &[])];
+///
+/// let dir = std::env::temp_dir().join(format!("culinaria-doc-wal-{}", std::process::id()));
+/// let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 0, &importer).unwrap();
+/// let stats = log.ingest(&db, &importer, &raws, 1, &Metrics::disabled()).unwrap();
+/// assert_eq!((stats.stored, stats.failures.len()), (1, 1));
+///
+/// // Replay ≡ batch: the failed recipe is kept as a tombstone and
+/// // re-checked, and the store is rebuilt as a cold import builds it.
+/// let back = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+/// assert!(back.records()[1].is_tombstone());
+/// let (store, replayed) = back.replay(&db, &importer, 2).unwrap();
+/// assert_eq!(store.n_recipes(), 1);
+/// assert_eq!(replayed, stats);
+/// std::fs::remove_dir_all(&dir).unwrap();
+/// ```
 #[derive(Debug)]
 pub struct SegmentedLog {
     dir: PathBuf,
@@ -386,11 +412,10 @@ impl SegmentedLog {
             let bytes =
                 fs::read(&path).map_err(|e| iow(format!("read segment {}", path.display()), e))?;
             if i < last {
-                let log = IngestLog::from_bytes(&bytes)
+                wal::decode_image(&bytes, &mut records)
                     .map_err(|e| wal::err(format!("sealed segment {name}: {e}")))?;
-                records.extend(log.records().iter().cloned());
             } else {
-                let (valid_len, recs) = scan_valid_prefix(&bytes);
+                let valid_len = wal::scan_valid_prefix(&bytes, &mut records);
                 if valid_len == 0 {
                     // Header unreadable (crash during segment init):
                     // reset to a fresh empty segment.
@@ -409,7 +434,6 @@ impl SegmentedLog {
                             .and_then(|()| f.sync_all())
                             .map_err(|e| iow(format!("truncate torn tail of {name}"), e))?;
                     }
-                    records.extend(recs);
                     open_len = valid_len as u64;
                 }
             }
@@ -523,7 +547,7 @@ impl SegmentedLog {
     /// failure, I/O failure, or an injected `wal.segment.*` fault.
     pub fn append(&mut self, raw: &RawRecipe) -> Result<()> {
         self.restamp(None)?;
-        self.push_recipe(raw)
+        self.push_record(WalRecord::Recipe(raw.clone()))
     }
 
     /// Append a raw recipe that failed per-recipe import, with its
@@ -534,60 +558,23 @@ impl SegmentedLog {
     /// Same as [`SegmentedLog::append`].
     pub fn append_tombstone(&mut self, raw: &RawRecipe, reason: &str) -> Result<()> {
         self.restamp(None)?;
-        self.push_tombstone(raw, reason)
+        self.push_record(WalRecord::Tombstone {
+            raw: raw.clone(),
+            reason: reason.to_owned(),
+        })
     }
 
-    fn push_recipe(&mut self, raw: &RawRecipe) -> Result<()> {
-        let payload = encode_raw(raw, None)?;
-        self.push_record(KIND_RECIPE, &payload, WalRecord::Recipe(raw.clone()))
-    }
-
-    fn push_tombstone(&mut self, raw: &RawRecipe, reason: &str) -> Result<()> {
-        let payload = encode_raw(raw, Some(reason))?;
-        self.push_record(
-            KIND_TOMBSTONE,
-            &payload,
-            WalRecord::Tombstone {
-                raw: raw.clone(),
-                reason: reason.to_owned(),
-            },
-        )
-    }
-
-    /// Import a batch into `store` **and** log every offered recipe —
-    /// the durable counterpart of
-    /// [`IngestLog::append_batch`](crate::wal::IngestLog::append_batch),
-    /// with the same contract: import runs first, appends follow in
-    /// batch order (each probed at `wal.segment.append`), so an
-    /// append-side failure leaves the directory a valid prefix of the
-    /// intended state. Under [`FsyncPolicy::Batch`] the open segment is
-    /// fsynced once after the batch lands. History is not checked, so a
-    /// stamp other than `importer`'s is dropped.
+    /// The whole `ingest` flow and the log's only batch write: check the
+    /// log against `importer`, import `raws` through it, append every
+    /// offered recipe, and sync as the [`FsyncPolicy`] says.
     ///
-    /// # Errors
-    /// Whatever [`Importer::import_batch`] returns, an encode/I/O
-    /// failure, or an injected `wal.segment.*` fault.
-    pub fn append_batch(
-        &mut self,
-        db: &FlavorDb,
-        importer: &Importer,
-        store: &mut RecipeStore,
-        raws: &[RawRecipe],
-        n_threads: usize,
-    ) -> Result<ImportStats> {
-        let stats = importer.import_batch(db, store, raws, n_threads)?;
-        if self.stamp != Some(importer.fingerprint()) {
-            self.restamp(None)?;
-        }
-        self.push_outcomes(raws, &stats)?;
-        if self.policy == FsyncPolicy::Batch {
-            self.sync()?;
-        }
-        Ok(stats)
-    }
-
-    /// The whole `ingest` flow: check the log against `importer`,
-    /// import `raws` through it, append every outcome, and sync.
+    /// Import runs first, so per-recipe failures are logged as
+    /// tombstones with their real reasons. Appends follow in batch
+    /// order, each probed at `wal.segment.append`, so an append-side
+    /// failure leaves the directory a valid prefix of the intended log.
+    /// Under [`FsyncPolicy::Batch`] the open segment is fsynced once
+    /// after the batch lands; [`FsyncPolicy::Always`] has already
+    /// synced every record and [`FsyncPolicy::Off`] leaves it to the OS.
     ///
     /// When the importer stamp equals [`Importer::fingerprint`], no
     /// history is resolved: the call costs O(batch). Otherwise (no
@@ -628,7 +615,10 @@ impl SegmentedLog {
             .import_batch_observed(db, &mut RecipeStore::new(), raws, n_threads, metrics)
             .map_err(IngestError::Failed)?;
         self.push_outcomes(raws, &stats)
-            .and_then(|()| self.sync())
+            .and_then(|()| match self.policy {
+                FsyncPolicy::Batch => self.sync(),
+                FsyncPolicy::Always | FsyncPolicy::Off => Ok(()),
+            })
             .map_err(IngestError::Failed)?;
         Ok(stats)
     }
@@ -642,10 +632,11 @@ impl SegmentedLog {
             .map(|f| (f.index, f.reason.to_string()))
             .collect();
         for (i, raw) in raws.iter().enumerate() {
-            match reasons.remove(&i) {
-                Some(reason) => self.push_tombstone(raw, &reason)?,
-                None => self.push_recipe(raw)?,
-            }
+            let raw = raw.clone();
+            self.push_record(match reasons.remove(&i) {
+                Some(reason) => WalRecord::Tombstone { raw, reason },
+                None => WalRecord::Recipe(raw),
+            })?;
         }
         Ok(())
     }
@@ -690,13 +681,7 @@ impl SegmentedLog {
             .map_err(|e| wal::err(format!("compact aborted: {e}")))?;
         let mut image = header_bytes().to_vec();
         for rec in &self.records {
-            let (kind, payload) = match rec {
-                WalRecord::Recipe(raw) => (KIND_RECIPE, encode_raw(raw, None)?),
-                WalRecord::Tombstone { raw, reason } => {
-                    (KIND_TOMBSTONE, encode_raw(raw, Some(reason))?)
-                }
-            };
-            image.extend_from_slice(&frame_record(kind, &payload));
+            image.extend_from_slice(&wal::frame(rec)?);
         }
         let name = segment_name(self.next_index);
         self.next_index += 1;
@@ -717,10 +702,16 @@ impl SegmentedLog {
         Ok(())
     }
 
-    /// Replay the whole log — same contract as
-    /// [`IngestLog::replay`](crate::wal::IngestLog::replay): the store
-    /// and stats are bit-identical to a cold batch import of the same
-    /// records at every thread count.
+    /// Replay the whole log into a fresh store by running the raw
+    /// recipes — tombstoned or not — through [`Importer::import_batch`],
+    /// exactly as a cold batch import of the same records would: the
+    /// store, recipe ids and stats are bit-identical to that import at
+    /// every thread count.
+    ///
+    /// Tombstones are cross-checked: a record logged as failed must
+    /// fail again with the same rendered reason, and a record logged as
+    /// stored must not fail. A mismatch means the importer (lexicon,
+    /// thresholds) drifted from the one that wrote the log.
     ///
     /// # Errors
     /// Import errors pass through; tombstone drift is reported as
@@ -734,8 +725,8 @@ impl SegmentedLog {
         replay_records(db, importer, &self.records, n_threads)
     }
 
-    /// Replay the first `n` records; see
-    /// [`IngestLog::replay_prefix`](crate::wal::IngestLog::replay_prefix).
+    /// Replay the first `n` records, as [`SegmentedLog::replay`] does
+    /// the whole log: bit-identical to a cold batch import of them.
     ///
     /// # Errors
     /// [`RecipeDbError::Wal`] on an
@@ -757,11 +748,11 @@ impl SegmentedLog {
         replay_records(db, importer, prefix, n_threads)
     }
 
-    fn push_record(&mut self, kind: u32, payload: &[u8], record: WalRecord) -> Result<()> {
+    fn push_record(&mut self, record: WalRecord) -> Result<()> {
         let seq = self.records.len();
         fault::probe("wal.segment.append", seq)
             .map_err(|e| wal::err(format!("append aborted at record {seq}: {e}")))?;
-        let frame = frame_record(kind, payload);
+        let frame = wal::frame(&record)?;
         self.open
             .write_all(&frame)
             .map_err(|e| iow(format!("append record {seq}"), e))?;
@@ -820,6 +811,18 @@ mod tests {
     use crate::region::Region;
     use culinaria_flavordb::curated::curated_db;
 
+    fn open_for(dir: &Path, policy: FsyncPolicy, segment_bytes: u64) -> SegmentedLog {
+        let importer = Importer::from_flavor_db(&curated_db());
+        SegmentedLog::open_for(dir, policy, segment_bytes, &importer).unwrap()
+    }
+
+    fn ingest(log: &mut SegmentedLog, raws: &[RawRecipe], threads: usize) -> ImportStats {
+        let db = curated_db();
+        let importer = Importer::from_flavor_db(&db);
+        log.ingest(&db, &importer, raws, threads, &Metrics::disabled())
+            .unwrap()
+    }
+
     fn temp_dir(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("culinaria-seg-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
@@ -848,14 +851,11 @@ mod tests {
 
     /// Byte image equivalent to concatenating all segments' records.
     fn as_single_image(log: &SegmentedLog) -> Vec<u8> {
-        let mut mem = IngestLog::new();
+        let mut image = header_bytes().to_vec();
         for rec in log.records() {
-            match rec {
-                WalRecord::Recipe(raw) => mem.append(raw).unwrap(),
-                WalRecord::Tombstone { raw, reason } => mem.append_tombstone(raw, reason).unwrap(),
-            }
+            image.extend_from_slice(&wal::frame(rec).unwrap());
         }
-        mem.as_bytes().to_vec()
+        image
     }
 
     #[test]
@@ -873,31 +873,25 @@ mod tests {
         let db = curated_db();
         let importer = Importer::from_flavor_db(&db);
         let raws = seeded_raws();
-        let mut store = RecipeStore::new();
         {
-            let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
+            let mut log = open_for(&dir, FsyncPolicy::Batch, 0);
             assert!(log.is_empty());
             assert_eq!(log.n_segments(), 1);
-            let stats = log
-                .append_batch(&db, &importer, &mut store, &raws, 2)
-                .unwrap();
+            let stats = ingest(&mut log, &raws, 2);
             assert_eq!(stats.offered, raws.len());
             assert_eq!(log.len(), raws.len());
         }
         let back = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
         assert_eq!(back.len(), raws.len());
         assert!(!back.recovery().recovered());
-        let mut mem = IngestLog::new();
-        let mut mem_store = RecipeStore::new();
-        mem.append_batch(&db, &importer, &mut mem_store, &raws, 2)
-            .unwrap();
-        assert_eq!(back.records(), mem.records());
+        assert_eq!(back.n_stored(), 4, "two of the six raws are tombstoned");
+        let mut cold = RecipeStore::new();
+        let cold_stats = importer.import_batch(&db, &mut cold, &raws, 1).unwrap();
         for threads in [1usize, 2, 8] {
             let (a, astats) = back.replay(&db, &importer, threads).unwrap();
-            let (b, bstats) = mem.replay(&db, &importer, threads).unwrap();
-            assert_eq!(astats, bstats, "{threads} threads");
-            assert_eq!(a.n_recipes(), b.n_recipes());
-            for (x, y) in a.recipes().zip(b.recipes()) {
+            assert_eq!(astats, cold_stats, "{threads} threads");
+            assert_eq!(a.n_recipes(), cold.n_recipes());
+            for (x, y) in a.recipes().zip(cold.recipes()) {
                 assert_eq!(x, y, "{threads} threads");
             }
         }
@@ -907,14 +901,9 @@ mod tests {
     #[test]
     fn rotation_seals_segments_and_reopen_sees_all_records() {
         let dir = temp_dir("rotate");
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        let raws = seeded_raws();
-        let mut store = RecipeStore::new();
         // Tiny threshold: every record trips a rotation.
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Off, 64).unwrap();
-        log.append_batch(&db, &importer, &mut store, &raws, 1)
-            .unwrap();
+        let mut log = open_for(&dir, FsyncPolicy::Off, 64);
+        ingest(&mut log, &seeded_raws(), 1);
         assert!(log.n_segments() > 1, "expected rotations");
         let n_segments = log.n_segments();
         let records = log.records().to_vec();
@@ -929,13 +918,8 @@ mod tests {
     #[test]
     fn every_torn_tail_recovers_to_a_valid_prefix() {
         let dir = temp_dir("torn");
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        let raws = seeded_raws();
-        let mut store = RecipeStore::new();
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Off, 0).unwrap();
-        log.append_batch(&db, &importer, &mut store, &raws, 1)
-            .unwrap();
+        let mut log = open_for(&dir, FsyncPolicy::Off, 0);
+        ingest(&mut log, &seeded_raws(), 1);
         log.sync().unwrap();
         let full_records = log.records().to_vec();
         let open_name = log.segment_names().last().unwrap().clone();
@@ -955,7 +939,7 @@ mod tests {
             );
             if cut < full_bytes.len() {
                 let expect_truncated = {
-                    let (valid, _) = scan_valid_prefix(&full_bytes[..cut]);
+                    let valid = wal::scan_valid_prefix(&full_bytes[..cut], &mut Vec::new());
                     cut - valid.min(cut)
                 };
                 assert_eq!(
@@ -975,12 +959,8 @@ mod tests {
     #[test]
     fn corrupt_sealed_segment_is_an_error_not_a_repair() {
         let dir = temp_dir("sealed");
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        let mut store = RecipeStore::new();
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Off, 64).unwrap();
-        log.append_batch(&db, &importer, &mut store, &seeded_raws(), 1)
-            .unwrap();
+        let mut log = open_for(&dir, FsyncPolicy::Off, 64);
+        ingest(&mut log, &seeded_raws(), 1);
         assert!(log.n_segments() > 1);
         let sealed = log.segment_names()[0].clone();
         drop(log);
@@ -997,12 +977,8 @@ mod tests {
     #[test]
     fn compaction_collapses_segments_and_preserves_records() {
         let dir = temp_dir("compact");
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        let mut store = RecipeStore::new();
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 64).unwrap();
-        log.append_batch(&db, &importer, &mut store, &seeded_raws(), 2)
-            .unwrap();
+        let mut log = open_for(&dir, FsyncPolicy::Batch, 64);
+        ingest(&mut log, &seeded_raws(), 2);
         let before = log.records().to_vec();
         let old_names = log.segment_names().to_vec();
         assert!(old_names.len() > 1);
@@ -1012,8 +988,8 @@ mod tests {
         for stale in &old_names {
             assert!(!dir.join(stale).exists(), "{stale} not removed");
         }
-        // The compacted image is byte-identical to the in-memory log of
-        // the same records, and appends keep working after compaction.
+        // The compacted image is the framed records back to back, and
+        // appends keep working after compaction.
         let image = fs::read(dir.join(&log.segment_names()[0])).unwrap();
         assert_eq!(image, as_single_image(&log));
         log.append(&raw("after", &["tomato"])).unwrap();
@@ -1026,14 +1002,11 @@ mod tests {
     #[test]
     fn orphan_segments_are_counted_and_tolerated() {
         let dir = temp_dir("orphan");
-        let db = curated_db();
-        let importer = Importer::from_flavor_db(&db);
-        let mut store = RecipeStore::new();
-        {
-            let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
-            log.append_batch(&db, &importer, &mut store, &seeded_raws(), 1)
-                .unwrap();
-        }
+        ingest(
+            &mut open_for(&dir, FsyncPolicy::Batch, 0),
+            &seeded_raws(),
+            1,
+        );
         // Simulate a crash between segment creation and manifest rename.
         fs::write(dir.join(segment_name(99)), header_bytes()).unwrap();
         let back = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
@@ -1085,8 +1058,7 @@ mod tests {
         let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).unwrap();
         assert_eq!(log.importer_stamp(), Some(fingerprint));
         // A batch through the stamped importer keeps the stamp ...
-        log.append_batch(&db, &importer, &mut RecipeStore::new(), &seeded_raws(), 1)
-            .unwrap();
+        ingest(&mut log, &seeded_raws(), 1);
         assert_eq!(log.importer_stamp(), Some(fingerprint));
         // ... a raw append, which nothing checks, drops it.
         log.append(&raw("unchecked", &["tomato"])).unwrap();

@@ -184,7 +184,7 @@ proptest! {
         let importer = Importer::from_flavor_db(&db);
         let mut serial_store = RecipeStore::new();
         let serial_stats = importer
-            .import(&db, &mut serial_store, &raws)
+            .import_batch(&db, &mut serial_store, &raws, 1)
             .expect("serial import succeeds");
         for threads in [1usize, 2, 8] {
             let mut store = RecipeStore::new();

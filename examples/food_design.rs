@@ -64,7 +64,7 @@ fn curated_world() -> World {
         })
         .collect();
     importer
-        .import(&db, &mut store, &raw)
+        .import_batch(&db, &mut store, &raw, 1)
         .expect("import succeeds");
     World {
         flavor: db,

@@ -67,7 +67,7 @@ fn main() {
     ];
 
     let stats = importer
-        .import(&db, &mut store, &recipes)
+        .import_batch(&db, &mut store, &recipes, 1)
         .expect("import never fails structurally");
 
     println!(

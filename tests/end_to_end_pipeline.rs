@@ -71,7 +71,7 @@ fn import_then_analyze_italian_corpus() {
     let importer = Importer::from_flavor_db(&db);
     let mut store = RecipeStore::new();
     let stats = importer
-        .import(&db, &mut store, &italian_corpus())
+        .import_batch(&db, &mut store, &italian_corpus(), 1)
         .expect("import succeeds");
 
     // Every recipe resolves at least partially.
@@ -120,13 +120,14 @@ fn synonyms_and_variants_map_to_the_same_ids() {
     let importer = Importer::from_flavor_db(&db);
     let mut store = RecipeStore::new();
     importer
-        .import(
+        .import_batch(
             &db,
             &mut store,
             &[
                 raw("a", Region::BritishIsles, &["a glass of whisky", "1 bun"]),
                 raw("b", Region::BritishIsles, &["whiskey", "bread"]),
             ],
+            1,
         )
         .expect("import succeeds");
     let a = store
@@ -148,10 +149,11 @@ fn curation_affects_downstream_scores() {
     let importer = Importer::from_flavor_db(&db);
     let mut store = RecipeStore::new();
     let stats = importer
-        .import(
+        .import_batch(
             &db,
             &mut store,
             &[raw("t", Region::Italy, &["2 tomatoes", "basil"])],
+            1,
         )
         .expect("import succeeds");
     assert_eq!(stats.stored, 1);

@@ -26,7 +26,7 @@ use culinaria::analysis::{FailureCause, MonteCarloConfig, NullModel, OverlapCach
 use culinaria::datagen::{generate_world, World, WorldConfig};
 use culinaria::obs::Metrics;
 use culinaria::recipedb::import::{ImportFailureReason, Importer, RawRecipe};
-use culinaria::recipedb::{IngestLog, RecipeDbError, RecipeStore, Region, Source};
+use culinaria::recipedb::{RecipeDbError, RecipeStore, Region, Source};
 use culinaria::stats::fault::{self, FaultKind, FaultPlan};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -358,54 +358,6 @@ fn import_panic_fails_the_batch_with_the_lowest_index() {
 }
 
 #[test]
-fn wal_append_fault_leaves_a_valid_replayable_prefix() {
-    let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
-    for threads in THREAD_COUNTS {
-        let mut log = IngestLog::new();
-        let mut store = RecipeStore::new();
-        let err = fault::with_plan(plan("wal.append", 3, FaultKind::Error), || {
-            log.append_batch(&db, &importer, &mut store, &raws, threads)
-                .unwrap_err()
-        });
-        assert!(
-            matches!(err, RecipeDbError::Wal(_)),
-            "expected a Wal error, got {err:?} at {threads} threads"
-        );
-        assert!(err.to_string().contains("record 3"), "{err}");
-        // Import ran first (append_batch contract), but only the
-        // records before the fault reached the log — whole, in order.
-        assert_eq!(store.n_recipes(), 12);
-        assert_eq!(log.records().len(), 3);
-        // What did land is a valid log: the bytes re-decode and replay
-        // as a cold batch import of that 3-record prefix.
-        let reopened = IngestLog::from_bytes(log.as_bytes()).expect("prefix stays decodable");
-        let (prefix_store, stats) = reopened.replay(&db, &importer, threads).expect("replays");
-        assert_eq!(stats.stored, 3);
-        assert_eq!(prefix_store.n_recipes(), 3);
-    }
-}
-
-#[test]
-fn wal_append_probe_indices_are_log_global() {
-    // The probe index is the *log* offset, not the batch offset, so a
-    // plan targeting record 13 fires in the second batch.
-    let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
-    let mut log = IngestLog::new();
-    let mut store = RecipeStore::new();
-    log.append_batch(&db, &importer, &mut store, &raws, 2)
-        .expect("first batch appends cleanly");
-    assert_eq!(log.records().len(), 12);
-    let err = fault::with_plan(plan("wal.append", 13, FaultKind::Error), || {
-        log.append_batch(&db, &importer, &mut store, &raws, 2)
-            .unwrap_err()
-    });
-    assert!(err.to_string().contains("record 13"), "{err}");
-    assert_eq!(log.records().len(), 13);
-}
-
-#[test]
 fn seeded_plans_are_reproducible() {
     let stages = ["overlap.tile", "mc.block", "world.block"];
     let a = FaultPlan::seeded(42, &stages, 16, 5);
@@ -483,39 +435,76 @@ fn replay_matches_cold(dir: &std::path::Path, raws: &[RawRecipe]) {
     }
 }
 
+/// Open a fresh stamped log in `dir`, ingest `raws` and return
+/// the ingest's error (the caller's fault plan must make it fail).
+fn failed_ingest(
+    dir: &std::path::Path,
+    policy: FsyncPolicy,
+    segment_bytes: u64,
+    raws: &[RawRecipe],
+    threads: usize,
+) -> RecipeDbError {
+    let db = culinaria::flavordb::curated::curated_db();
+    let importer = Importer::from_flavor_db(&db);
+    let mut log = SegmentedLog::open_for(dir, policy, segment_bytes, &importer).expect("open");
+    match log.ingest(&db, &importer, raws, threads, &off()) {
+        Err(IngestError::Failed(e)) => e,
+        other => panic!("expected a failed ingest, got {other:?}"),
+    }
+}
+
 #[test]
 fn segment_append_fault_leaves_a_reopenable_prefix() {
-    let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let (_, raws) = import_fixture();
     for threads in THREAD_COUNTS {
         let dir = segment_scratch(&format!("append-{threads}"));
-        let mut store = RecipeStore::new();
         let err = fault::with_plan(plan("wal.segment.append", 3, FaultKind::Error), || {
-            let mut log = SegmentedLog::open(&dir, FsyncPolicy::Always, 0).expect("open");
-            log.append_batch(&db, &importer, &mut store, &raws, threads)
-                .unwrap_err()
+            failed_ingest(&dir, FsyncPolicy::Always, 0, &raws, threads)
         });
         assert!(
             matches!(err, RecipeDbError::Wal(_)),
             "expected a Wal error, got {err:?} at {threads} threads"
         );
         assert!(err.to_string().contains("record 3"), "{err}");
+        // Import ran first, but only the records before the fault
+        // reached the log — whole, in order.
+        let log = SegmentedLog::open(&dir, FsyncPolicy::Off, 0).expect("reopen");
+        assert_eq!(log.len(), 3);
+        drop(log);
         assert_recovered_prefix_replays(&dir, &raws);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
-fn segment_fsync_fault_surfaces_but_never_corrupts() {
+fn segment_append_probe_indices_are_log_global() {
+    // The probe index is the *log* offset, not the batch offset, so a
+    // plan targeting record 13 fires in the second batch.
     let db = culinaria::flavordb::curated::curated_db();
     let (importer, raws) = import_fixture();
+    let dir = segment_scratch("append-global");
+    let mut log = fault::with_plan(FaultPlan::new(), || {
+        let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 0, &importer).expect("open");
+        log.ingest(&db, &importer, &raws, 2, &off())
+            .expect("first batch appends cleanly");
+        log
+    });
+    assert_eq!(log.len(), 12);
+    let err = fault::with_plan(plan("wal.segment.append", 13, FaultKind::Error), || {
+        log.ingest(&db, &importer, &raws, 2, &off()).unwrap_err()
+    });
+    assert!(err.to_string().contains("record 13"), "{err}");
+    assert_eq!(log.len(), 13);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn segment_fsync_fault_surfaces_but_never_corrupts() {
+    let (_, raws) = import_fixture();
     for threads in THREAD_COUNTS {
         let dir = segment_scratch(&format!("fsync-{threads}"));
-        let mut store = RecipeStore::new();
         let err = fault::with_plan(plan("wal.segment.fsync", 5, FaultKind::Error), || {
-            let mut log = SegmentedLog::open(&dir, FsyncPolicy::Always, 0).expect("open");
-            log.append_batch(&db, &importer, &mut store, &raws, threads)
-                .unwrap_err()
+            failed_ingest(&dir, FsyncPolicy::Always, 0, &raws, threads)
         });
         assert!(err.to_string().contains("fsync aborted"), "{err}");
         // The write before the failed fsync still hit the file; either
@@ -526,17 +515,42 @@ fn segment_fsync_fault_surfaces_but_never_corrupts() {
 }
 
 #[test]
-fn segment_rotate_fault_keeps_the_manifest_commit_point() {
+fn fsync_off_ingest_never_fsyncs_and_batch_fsyncs_once() {
+    let (_, raws) = import_fixture();
+    // Every index armed: any fsync on the append path of a
+    // no-rotation ingest trips the plan.
+    let every_fsync = (0..raws.len()).fold(FaultPlan::new(), |p, i| {
+        p.fail("wal.segment.fsync", i, FaultKind::Error)
+    });
     let db = culinaria::flavordb::curated::curated_db();
-    let (importer, raws) = import_fixture();
+    let importer = Importer::from_flavor_db(&db);
+    let dir = segment_scratch("fsync-off");
+    let stats = fault::with_plan(every_fsync.clone(), || {
+        let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Off, 0, &importer).expect("open");
+        log.ingest(&db, &importer, &raws, 2, &off())
+    })
+    .expect("--fsync off must not fsync on the append path");
+    assert_eq!(stats.stored, raws.len());
+    assert_recovered_prefix_replays(&dir, &raws);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = segment_scratch("fsync-batch");
+    let err = fault::with_plan(every_fsync, || {
+        failed_ingest(&dir, FsyncPolicy::Batch, 0, &raws, 2)
+    });
+    assert!(err.to_string().contains("fsync aborted"), "{err}");
+    assert_recovered_prefix_replays(&dir, &raws);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn segment_rotate_fault_keeps_the_manifest_commit_point() {
+    let (_, raws) = import_fixture();
     let dir = segment_scratch("rotate");
-    let mut store = RecipeStore::new();
     // A tiny rotation threshold forces a rotation inside the batch;
     // failing rotation 1 aborts the append mid-way.
     let err = fault::with_plan(plan("wal.segment.rotate", 1, FaultKind::Error), || {
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 256).expect("open");
-        log.append_batch(&db, &importer, &mut store, &raws, 2)
-            .unwrap_err()
+        failed_ingest(&dir, FsyncPolicy::Batch, 256, &raws, 2)
     });
     assert!(err.to_string().contains("rotation 1 aborted"), "{err}");
     // The manifest (the commit point) still names only intact
@@ -550,14 +564,13 @@ fn segment_compact_fault_leaves_the_old_segments_live() {
     let db = culinaria::flavordb::curated::curated_db();
     let (importer, raws) = import_fixture();
     let dir = segment_scratch("compact");
-    let mut store = RecipeStore::new();
     // The clean history is written under an empty plan, for the reason
     // `assert_recovered_prefix_replays` gives.
     let mut log = fault::with_plan(FaultPlan::new(), || {
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 256).expect("open");
-        log.append_batch(&db, &importer, &mut store, &raws, 2)
-            .expect("append_batch");
-        log.sync().expect("sync");
+        let mut log =
+            SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 256, &importer).expect("open");
+        log.ingest(&db, &importer, &raws, 2, &off())
+            .expect("history ingests");
         log
     });
     let segments_before = log.n_segments();
@@ -603,12 +616,14 @@ fn stamped_ingest_never_re_resolves_history() {
     assert_eq!(log.len(), history.len() + raws.len());
     drop(log);
 
+    // Raw appends write an unstamped log, as logs from before stamps
+    // are (every history recipe stores, so none is a tombstone).
     let legacy = segment_scratch("legacy-ingest");
-    fault::with_plan(FaultPlan::new(), || {
-        let mut log = SegmentedLog::open(&legacy, FsyncPolicy::Batch, 0).expect("open");
-        log.append_batch(&db, &importer, &mut RecipeStore::new(), &history, 2)
-            .expect("history appends");
-    });
+    let mut log = SegmentedLog::open(&legacy, FsyncPolicy::Batch, 0).expect("open");
+    for raw in &history {
+        log.append(raw).expect("history appends");
+    }
+    drop(log);
     let err = fault::with_plan(fault_at, || {
         let mut log =
             SegmentedLog::open_for(&legacy, FsyncPolicy::Batch, 0, &importer).expect("open");

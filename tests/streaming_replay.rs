@@ -1,22 +1,29 @@
-//! Streaming-ingestion replay contract (`culinaria_recipedb::wal`).
+//! Streaming-ingestion replay contract (`culinaria_recipedb::segment`).
 //!
 //! The import log's whole value is one guarantee: **replaying any
 //! prefix of the log is bit-identical to a cold batch import of the
 //! same prefix**, at every thread count, with per-recipe failures
 //! preserved as tombstones. This suite drives that guarantee over a
-//! seeded 200-recipe log (deliberate failures included), checks that
-//! the downstream Fig-4 z-score table is bit-identical too, and
-//! property-tests the on-disk format: truncations and bit flips must
-//! be *reported*, never panicked on.
+//! seeded 200-recipe log grown by `SegmentedLog::ingest` (deliberate
+//! failures included), checks that the downstream Fig-4 z-score table
+//! is bit-identical too, and property-tests the on-disk format through
+//! the segment a damaged image lands in: truncations and bit flips
+//! must be *reported*, never panicked on.
 
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use culinaria::analysis::z_analysis::{analyses_to_frame, analyze_world};
 use culinaria::analysis::{MonteCarloConfig, NullModel};
 use culinaria::flavordb::curated::curated_db;
 use culinaria::flavordb::FlavorDb;
+use culinaria::obs::Metrics;
 use culinaria::recipedb::import::{Importer, RawRecipe};
-use culinaria::recipedb::{IngestLog, RecipeArtifactBuilder, RecipeStore, Region, Source};
+use culinaria::recipedb::segment::{MANIFEST, MANIFEST_MAGIC};
+use culinaria::recipedb::{
+    FsyncPolicy, RecipeArtifactBuilder, RecipeDbError, RecipeStore, Region, SegmentedLog, Source,
+};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -78,30 +85,42 @@ fn seeded_raws(n: usize) -> Vec<RawRecipe> {
         .collect()
 }
 
-/// The 200-record log, built in uneven micro-batches (like a stream
-/// would), serialized and re-opened from its own bytes (like the CLI
-/// does), plus the live store those batches accumulated.
-fn seeded_log() -> (IngestLog, RecipeStore, Vec<RawRecipe>) {
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("culinaria-stream-{}-{name}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Grow a fresh unrotated log in `dir` by ingesting `raws` in uneven
+/// micro-batches (like a stream would), then reopen it from disk (like
+/// the CLI does).
+fn ingested_log(dir: &Path, raws: &[RawRecipe]) -> SegmentedLog {
     let (db, importer) = fixture();
-    let raws = seeded_raws(200);
-    let mut log = IngestLog::new();
-    let mut live = RecipeStore::new();
+    let mut log = SegmentedLog::open_for(dir, FsyncPolicy::Batch, 0, importer).expect("open");
     let mut offset = 0;
     for size in [1usize, 2, 13, 44, 60, 80] {
-        let chunk = &raws[offset..offset + size];
-        log.append_batch(db, importer, &mut live, chunk, 2)
-            .expect("append_batch");
-        offset += size;
+        let end = (offset + size).min(raws.len());
+        log.ingest(db, importer, &raws[offset..end], 2, &Metrics::disabled())
+            .expect("ingest");
+        offset = end;
     }
-    assert_eq!(offset, 200);
-    let log = IngestLog::from_bytes(log.as_bytes()).expect("own bytes re-open");
-    (log, live, raws)
+    assert_eq!(offset, raws.len(), "batches must cover every raw");
+    drop(log);
+    SegmentedLog::open(dir, FsyncPolicy::Batch, 0).expect("own log reopens")
+}
+
+/// The seeded 200-record log in its own directory under `name`.
+fn seeded_log(name: &str) -> (SegmentedLog, PathBuf, Vec<RawRecipe>) {
+    let raws = seeded_raws(200);
+    let dir = scratch_dir(name);
+    let log = ingested_log(&dir, &raws);
+    (log, dir, raws)
 }
 
 #[test]
 fn every_prefix_replays_bit_identical_to_cold_batch() {
     let (db, importer) = fixture();
-    let (log, live, raws) = seeded_log();
+    let (log, dir, raws) = seeded_log("prefixes");
     assert_eq!(log.records().len(), 200);
     let tombstones = log.records().iter().filter(|r| r.is_tombstone()).count();
     assert!(
@@ -131,20 +150,14 @@ fn every_prefix_replays_bit_identical_to_cold_batch() {
         }
     }
 
-    // The store grown batch-by-batch while logging is itself identical
-    // to one full replay — streaming never forks from batch state.
-    let (replayed, _) = log.replay(db, importer, 8).expect("full replay");
-    assert_eq!(
-        crdb2(&live),
-        crdb2(&replayed),
-        "micro-batched live store diverged from full replay"
-    );
+    assert!(log.replay_prefix(db, importer, 201, 1).is_err());
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn z_scores_after_replay_match_cold_batch_at_every_thread_count() {
     let (db, importer) = fixture();
-    let (log, _, raws) = seeded_log();
+    let (log, dir, raws) = seeded_log("z-scores");
     for n in [67usize, 200] {
         let mc = |threads: usize| MonteCarloConfig {
             n_recipes: 1000,
@@ -190,57 +203,95 @@ fn z_scores_after_replay_match_cold_batch_at_every_thread_count() {
             );
         }
     }
+    let _ = fs::remove_dir_all(&dir);
 }
 
-/// A small serialized log for the corruption properties below.
+/// The single segment image of a small ingested log, for the
+/// corruption properties below.
 fn small_log_bytes() -> &'static [u8] {
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let (db, importer) = fixture();
-        let raws = seeded_raws(24);
-        let mut log = IngestLog::new();
-        let mut store = RecipeStore::new();
-        log.append_batch(db, importer, &mut store, &raws, 2)
-            .expect("append_batch");
+        let dir = scratch_dir("small");
+        let log = ingested_log(&dir, &seeded_raws(24));
         assert!(log.records().iter().any(|r| r.is_tombstone()));
-        log.as_bytes().to_vec()
+        assert_eq!(log.n_segments(), 1);
+        let bytes = fs::read(dir.join(&log.segment_names()[0])).expect("read segment");
+        let _ = fs::remove_dir_all(&dir);
+        bytes
     })
 }
 
+/// Lay `image` out in `dir` as the first of two segments, followed by
+/// an empty open segment, or as the only (open) segment, and open the
+/// log. A sealed segment decodes strictly; the open one is scanned for
+/// its valid prefix.
+fn open_with_image(dir: &Path, image: &[u8], sealed: bool) -> Result<SegmentedLog, RecipeDbError> {
+    let _ = fs::remove_dir_all(dir);
+    fs::create_dir_all(dir).expect("create dir");
+    let header = &small_log_bytes()[..16];
+    let names: &[&str] = if sealed {
+        fs::write(dir.join("seg-000002.cwal"), header).expect("write open segment");
+        &["seg-000001.cwal", "seg-000002.cwal"]
+    } else {
+        &["seg-000001.cwal"]
+    };
+    fs::write(dir.join("seg-000001.cwal"), image).expect("write segment");
+    let manifest = format!("{MANIFEST_MAGIC}\n{}\n", names.join("\n"));
+    fs::write(dir.join(MANIFEST), manifest).expect("write manifest");
+    SegmentedLog::open(dir, FsyncPolicy::Off, 0)
+}
+
 proptest! {
-    /// Truncating the byte stream anywhere is survivable: either the
-    /// cut lands on a record boundary (the valid-prefix case an
-    /// interrupted append leaves behind) and the shorter log re-encodes
-    /// to exactly those bytes, or decoding reports an error. Never a
-    /// panic, never silently invented records.
+    /// Truncating the byte stream anywhere is survivable. As a sealed
+    /// segment, either the cut lands on a record boundary (the
+    /// valid-prefix case an interrupted append leaves behind) and the
+    /// shorter log re-encodes to exactly those bytes, or opening reports
+    /// an error. As the open segment, recovery keeps a prefix of the
+    /// records. Never a panic, never silently invented records.
     #[test]
     fn truncated_logs_never_panic(cut in 0usize..1 << 16) {
         let bytes = small_log_bytes();
         let cut = cut % (bytes.len() + 1);
-        match IngestLog::from_bytes(&bytes[..cut]) {
-            Ok(log) => {
-                prop_assert_eq!(log.as_bytes(), &bytes[..cut]);
-                prop_assert!(log.records().len() <= 24);
+        let dir = scratch_dir("truncated");
+        let full = open_with_image(&dir, bytes, true).expect("intact image opens");
+        match open_with_image(&dir, &bytes[..cut], true) {
+            Ok(mut log) => {
+                prop_assert!(log.len() <= 24);
+                prop_assert_eq!(log.records(), &full.records()[..log.len()]);
+                // Compaction re-frames the decoded records into one
+                // segment: byte for byte the surviving image.
+                log.compact().expect("compact");
+                let image = fs::read(dir.join(&log.segment_names()[0])).expect("read");
+                prop_assert_eq!(&image[..], &bytes[..cut]);
             }
-            Err(e) => prop_assert!(!e.to_string().is_empty()),
+            Err(e) => prop_assert!(e.to_string().contains("sealed segment seg-000001.cwal")),
         }
+        let torn = open_with_image(&dir, &bytes[..cut], false).expect("open segment recovers");
+        prop_assert_eq!(torn.records(), &full.records()[..torn.len()]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Flipping any single bit is survivable. Every region of the
-    /// format is covered by a check (magic, version, kind, framing,
-    /// payload checksum, zero padding), so decode-then-replay must
-    /// report an error or reproduce a well-formed log — never panic.
+    /// format but the reserved header word is covered by a check
+    /// (magic, version, kind, framing, payload checksum, zero padding),
+    /// so opening the damaged image as a sealed or as the open segment,
+    /// then replaying, must report an error or reproduce a well-formed
+    /// log — never panic.
     #[test]
     fn bit_flipped_logs_never_panic(pos in 0usize..1 << 16, bit in 0u32..8) {
         let (db, importer) = fixture();
         let mut bytes = small_log_bytes().to_vec();
         let pos = pos % bytes.len();
         bytes[pos] ^= 1u8 << bit;
-        if let Ok(log) = IngestLog::from_bytes(&bytes) {
-            prop_assert!(log.records().len() <= 24);
-            // A decodable flip (e.g. in an unchecked reserved field)
-            // must still replay without panicking.
-            let _ = log.replay(db, importer, 2);
+        let dir = scratch_dir("flipped");
+        for sealed in [true, false] {
+            if let Ok(log) = open_with_image(&dir, &bytes, sealed) {
+                prop_assert!(log.len() <= 24);
+                // A decodable flip (e.g. in the unread reserved word)
+                // must still replay without panicking.
+                let _ = log.replay(db, importer, 2);
+            }
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

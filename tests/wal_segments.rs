@@ -110,6 +110,19 @@ fn cold_reference(n: usize, raws: &[RawRecipe]) -> (Vec<u8>, culinaria::recipedb
     (crdb2(&store), stats)
 }
 
+/// Open (or create) the log in `dir` for the fixture importer.
+fn open_for(dir: &Path, policy: FsyncPolicy, segment_bytes: u64) -> SegmentedLog {
+    let (_, importer) = fixture();
+    SegmentedLog::open_for(dir, policy, segment_bytes, importer).expect("open")
+}
+
+/// Ingest `raws` through the fixture importer, telemetry off.
+fn ingest(log: &mut SegmentedLog, raws: &[RawRecipe]) {
+    let (db, importer) = fixture();
+    log.ingest(db, importer, raws, 2, &Metrics::disabled())
+        .expect("ingest");
+}
+
 fn assert_replay_matches_cold(log: &SegmentedLog, raws: &[RawRecipe], ctx: &str) {
     let (db, importer) = fixture();
     let n = log.len();
@@ -130,18 +143,15 @@ fn assert_replay_matches_cold(log: &SegmentedLog, raws: &[RawRecipe], ctx: &str)
 
 #[test]
 fn rotation_and_reopen_are_bit_identical_to_cold_import() {
-    let (db, importer) = fixture();
     let raws = seeded_raws(200);
     for policy in [FsyncPolicy::Always, FsyncPolicy::Batch, FsyncPolicy::Off] {
         let dir = scratch_dir(&format!("rotate-{policy}"));
         {
             // 2 KiB segments force many rotations over a 200-record log.
-            let mut log = SegmentedLog::open(&dir, policy, 2048).expect("open");
-            let mut live = RecipeStore::new();
+            let mut log = open_for(&dir, policy, 2048);
             let mut offset = 0;
             for size in [1usize, 2, 13, 44, 60, 80] {
-                log.append_batch(db, importer, &mut live, &raws[offset..offset + size], 2)
-                    .expect("append_batch");
+                ingest(&mut log, &raws[offset..offset + size]);
                 offset += size;
             }
             assert_eq!(offset, 200);
@@ -163,17 +173,13 @@ fn rotation_and_reopen_are_bit_identical_to_cold_import() {
 
 #[test]
 fn every_cut_of_the_open_segment_recovers_a_replayable_prefix() {
-    let (db, importer) = fixture();
     let raws = seeded_raws(24);
     let base = scratch_dir("torn-base");
     {
         // No rotation: a single open segment holds every record, so a
         // cut at byte `c` models a crash after `c` durable bytes.
-        let mut log = SegmentedLog::open(&base, FsyncPolicy::Batch, 0).expect("open");
-        let mut store = RecipeStore::new();
-        log.append_batch(db, importer, &mut store, &raws, 2)
-            .expect("append_batch");
-        log.sync().expect("sync");
+        let mut log = open_for(&base, FsyncPolicy::Batch, 0);
+        ingest(&mut log, &raws);
         assert_eq!(log.n_segments(), 1);
     }
     let seg = fs::read_dir(&base)
@@ -264,10 +270,8 @@ fn fig4_z_profile_is_bit_identical_after_crash_recovery() {
     let dir = scratch_dir("fig4");
     let total;
     {
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 4096).expect("open");
-        let mut store = RecipeStore::new();
-        log.append_batch(db, importer, &mut store, &raws[..200], 2)
-            .expect("append_batch");
+        let mut log = open_for(&dir, FsyncPolicy::Batch, 4096);
+        ingest(&mut log, &raws[..200]);
         // Rotation may have just sealed a segment, leaving the open one
         // empty; top up one record at a time until it holds something
         // for the crash to tear.
@@ -278,8 +282,7 @@ fn fig4_z_profile_is_bit_identical_after_crash_recovery() {
             if open_len > 32 {
                 break;
             }
-            log.append_batch(db, importer, &mut store, &raws[next..next + 1], 1)
-                .expect("top-up append");
+            ingest(&mut log, &raws[next..next + 1]);
             next += 1;
         }
         log.sync().expect("sync");
@@ -354,14 +357,10 @@ fn fig4_z_profile_is_bit_identical_after_crash_recovery() {
 
 #[test]
 fn compaction_preserves_replay_and_bounds_the_file_count() {
-    let (db, importer) = fixture();
     let raws = seeded_raws(120);
     let dir = scratch_dir("compact");
-    let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("open");
-    let mut store = RecipeStore::new();
-    log.append_batch(db, importer, &mut store, &raws, 2)
-        .expect("append_batch");
-    log.sync().expect("sync");
+    let mut log = open_for(&dir, FsyncPolicy::Batch, 2048);
+    ingest(&mut log, &raws);
     let before = log.n_segments();
     assert!(before >= 3, "need rotation history to compact: {before}");
     let records_before = log.records().to_vec();
@@ -390,16 +389,9 @@ fn compaction_preserves_replay_and_bounds_the_file_count() {
 
 #[test]
 fn orphan_segments_are_counted_and_tolerated() {
-    let (db, importer) = fixture();
     let raws = seeded_raws(12);
     let dir = scratch_dir("orphan");
-    {
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 0).expect("open");
-        let mut store = RecipeStore::new();
-        log.append_batch(db, importer, &mut store, &raws, 2)
-            .expect("append_batch");
-        log.sync().expect("sync");
-    }
+    ingest(&mut open_for(&dir, FsyncPolicy::Batch, 0), &raws);
     // The residue of a crash between segment creation and manifest
     // rename: a segment file no manifest names.
     fs::write(dir.join("seg-999999.cwal"), b"half-written junk").expect("drop orphan");
@@ -416,15 +408,11 @@ fn orphan_segments_are_counted_and_tolerated() {
 
 #[test]
 fn sealed_corruption_and_bad_manifests_are_reported_not_repaired() {
-    let (db, importer) = fixture();
     let raws = seeded_raws(60);
     let dir = scratch_dir("sealed");
     {
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("open");
-        let mut store = RecipeStore::new();
-        log.append_batch(db, importer, &mut store, &raws, 2)
-            .expect("append_batch");
-        log.sync().expect("sync");
+        let mut log = open_for(&dir, FsyncPolicy::Batch, 2048);
+        ingest(&mut log, &raws);
         assert!(log.n_segments() >= 2, "need a sealed segment");
     }
     // Flip a payload byte deep inside the *first* (sealed) segment:
@@ -525,18 +513,18 @@ fn importer_stamp_survives_rotation_and_compaction() {
 
 #[test]
 fn stampless_logs_are_verified_once_then_restamped() {
-    let (db, importer) = fixture();
+    let (_, importer) = fixture();
     let raws = seeded_raws(80);
     let dir = scratch_dir("stamp-legacy");
-    {
-        // A log written without a stamp, as logs from before stamps are.
-        let mut log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("open");
-        log.append_batch(db, importer, &mut RecipeStore::new(), &raws[..40], 2)
-            .expect("append_batch");
-        assert_eq!(log.importer_stamp(), None);
-    }
+    ingest(&mut open_for(&dir, FsyncPolicy::Batch, 2048), &raws[..40]);
+    // Drop the stamp line: the manifest of a log from before stamps.
     let manifest = fs::read_to_string(dir.join(MANIFEST)).expect("manifest");
-    assert!(!manifest.contains("importer"), "{manifest}");
+    let legacy = manifest.replace(&format!("{}\n", stamp_line(importer)), "");
+    assert_ne!(legacy, manifest, "the fresh log was stamped");
+    fs::write(dir.join(MANIFEST), legacy).expect("write legacy manifest");
+    let log = SegmentedLog::open(&dir, FsyncPolicy::Batch, 2048).expect("open");
+    assert_eq!(log.importer_stamp(), None);
+    drop(log);
 
     let mut log = SegmentedLog::open_for(&dir, FsyncPolicy::Batch, 2048, importer).expect("open");
     assert_eq!(ingest_counting_verified(&mut log, &raws[40..60]), 40);
