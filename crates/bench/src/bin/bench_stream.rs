@@ -177,7 +177,6 @@ fn cold_rebuilds(db: &FlavorDb, steps: &[Step<'_>]) {
 /// (µs).
 fn churn<'a>(
     server: &Server<'a>,
-    flavor: FlavorViewRef<'a>,
     arena: &'a [RecipeStore],
     lines: &[String],
     rate: usize,
@@ -213,7 +212,7 @@ fn churn<'a>(
             for (g, store) in arena.iter().enumerate().skip(1) {
                 std::thread::sleep(swap_every);
                 let t = Instant::now();
-                let generation = server.ingest_swap(flavor, RecipesViewRef::Owned(store));
+                let generation = server.ingest_swap(RecipesViewRef::Owned(store));
                 swap_us.push(t.elapsed().as_secs_f64() * 1e6);
                 assert_eq!(generation, g as u64, "generations must be sequential");
             }
@@ -401,7 +400,7 @@ fn main() {
         // installed, stale entries invalidated, and the swapped server
         // answering exactly like a fresh server over the final store.
         let server = new_server();
-        let (_, ok_replies, _) = churn(&server, flavor, &arena, &lines, rate);
+        let (_, ok_replies, _) = churn(&server, &arena, &lines, rate);
         assert_eq!(
             ok_replies, queries,
             "every query must be answered OK while ingesting (threads {threads})"
@@ -429,7 +428,7 @@ fn main() {
         let [elapsed] = harness::time_ms(
             TIME_REPS,
             [&mut || {
-                let (l, _, s) = churn(&new_server(), flavor, &arena, &lines, rate);
+                let (l, _, s) = churn(&new_server(), &arena, &lines, rate);
                 lat.extend(l);
                 swap_us.extend(s);
             }],

@@ -108,12 +108,16 @@ pub struct Run {
 /// The summary of benchmark `bench`, opened with the machine and run
 /// it was measured on.
 pub fn summary(bench: &str, run: Run) -> Obj {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+    };
+    let head = git(&["rev-parse", "--short", "HEAD"]);
+    let status = git(&["status", "--porcelain", "--", "crates", "src", "Cargo.*"]);
     #[cfg(target_arch = "x86_64")]
     let popcnt = std::arch::is_x86_feature_detected!("popcnt");
     #[cfg(not(target_arch = "x86_64"))]
@@ -121,7 +125,10 @@ pub fn summary(bench: &str, run: Run) -> Obj {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let summary = Obj::default()
         .set("bench", bench)
-        .set("commit", commit.as_deref().map_or("unknown", str::trim))
+        .set(
+            "commit",
+            commit_label(head.as_deref(), status.as_deref().unwrap_or("")),
+        )
         .set("available_cores", cores)
         .set(
             "n_threads_effective",
@@ -134,6 +141,20 @@ pub fn summary(bench: &str, run: Run) -> Obj {
         None => summary,
     }
     .set("time_reps", run.reps)
+}
+
+/// The `commit` field of a summary: the short hash `git rev-parse`
+/// printed (`unknown` without one), plus `-dirty` when the
+/// `git status --porcelain` lines for the measured sources are not
+/// empty — a number measured on uncommitted edits never names a
+/// commit that did not produce it.
+pub fn commit_label(head: Option<&str>, porcelain: &str) -> String {
+    let hash = head.map_or("unknown", str::trim);
+    if porcelain.trim().is_empty() {
+        hash.to_owned()
+    } else {
+        format!("{hash}-dirty")
+    }
 }
 
 /// The JSON text of one summary value.
@@ -242,6 +263,18 @@ mod tests {
         let (mut a, mut b) = (0, 0);
         let [sa, _] = time_ms(3, [&mut || a += 1, &mut || b += 1]);
         assert_eq!((a, b, sa.0.len()), (3, 3, 3));
+    }
+
+    #[test]
+    fn commit_label_marks_uncommitted_sources() {
+        assert_eq!(commit_label(Some("1a2b3c4\n"), ""), "1a2b3c4");
+        assert_eq!(commit_label(Some("1a2b3c4\n"), "\n"), "1a2b3c4");
+        assert_eq!(
+            commit_label(Some("1a2b3c4\n"), " M crates/core/src/lib.rs\n"),
+            "1a2b3c4-dirty"
+        );
+        assert_eq!(commit_label(None, ""), "unknown");
+        assert_eq!(commit_label(None, "?? src/new.rs\n"), "unknown-dirty");
     }
 
     #[test]

@@ -1,19 +1,20 @@
-//! The Monte-Carlo engine: 100,000 randomized recipes per null model,
-//! scored against the overlap cache, summarized as a
-//! [`NullEnsemble`].
+//! The Monte-Carlo engine: the one block loop under the pairwise runs
+//! ([`try_run_null_model`]), the k-tuple runs
+//! ([`crate::ntuple::try_ktuple_null_ensemble`]) and the cuisine and
+//! world analyses ([`crate::z_analysis`]).
 //!
-//! Parallelism is the shared worker pool ([`culinaria_stats::pool`])
-//! over fixed-size *blocks* of recipes. Each block derives its PRNG
-//! seed deterministically from `(run seed, model, block index)` and
-//! accumulates its own [`RunningStats`]; the pool returns block results
-//! in block order (one lock-free slot per block, one writer per slot),
-//! and they are merged in that canonical order. The result is therefore
-//! **bit-identical regardless of thread count** — a design choice
-//! DESIGN.md calls out.
-//!
-//! Workers carry a reusable `McScratch` (recipe buffer + distinctness
-//! bitmask), so the steady state of a run allocates nothing per sampled
-//! recipe.
+//! An *ensemble* is a scorer, a [`CuisineSampler`], a [`NullModel`], a
+//! run seed and a k salt. One engine call flattens every
+//! `(ensemble, block)` pair into one task queue on the shared worker
+//! pool ([`culinaria_stats::pool`]): task `t` is block `t % n_blocks`
+//! of ensemble `t / n_blocks`. Block `b` draws from
+//! `derive_seed(seed, k << 48 | model << 32 | b)` (k = 0 for pairs) and
+//! accumulates its own [`RunningStats`]; the pool returns blocks in
+//! task order and each ensemble folds its own in block order, so every
+//! ensemble is **bit-identical regardless of thread count** — a design
+//! choice DESIGN.md calls out. The scorer is a generic parameter, so
+//! each hot loop is monomorphised, and workers reuse one scratch, so a
+//! run allocates nothing per sampled recipe.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,43 +31,105 @@ use crate::pairing::OverlapCache;
 /// Recipes per scheduling block (also the determinism granularity).
 pub(crate) const BLOCK: usize = 2048;
 
-/// Per-worker reusable buffers for Monte-Carlo sampling.
-#[derive(Debug, Default)]
-pub(crate) struct McScratch {
-    recipe: Vec<u32>,
-    sample: SampleScratch,
+/// Scores one sampled recipe given as local pool indices, with a
+/// per-worker scratch reused across recipes.
+pub(crate) trait Scorer: Sync {
+    type Scratch: Default;
+    fn score(&self, locals: &[u32], scratch: &mut Self::Scratch) -> f64;
 }
 
-impl McScratch {
-    pub(crate) fn new() -> McScratch {
-        McScratch::default()
+impl Scorer for OverlapCache {
+    type Scratch = ();
+
+    fn score(&self, locals: &[u32], _: &mut ()) -> f64 {
+        self.score_local(locals)
     }
 }
 
-/// Sample and score one block of recipes — the unit of work both the
-/// single-cuisine runner and the flattened world pipeline feed to the
-/// pool. `run_seed` is the seed the whole run was configured with;
-/// the block's own stream is derived from `(run_seed, model, block)`,
-/// so a block's statistics depend only on those three values.
-pub(crate) fn block_stats(
-    cache: &OverlapCache,
-    sampler: &CuisineSampler,
-    model: NullModel,
-    run_seed: u64,
-    block: usize,
-    n_recipes: usize,
-    scratch: &mut McScratch,
-) -> RunningStats {
-    let lo = block * BLOCK;
-    let hi = ((block + 1) * BLOCK).min(n_recipes);
-    let stream = (model.index() as u64) << 32 | block as u64;
-    let mut rng = StdRng::seed_from_u64(derive_seed(run_seed, stream));
-    let mut stats = RunningStats::new();
-    for _ in lo..hi {
-        sampler.generate_into(model, &mut rng, &mut scratch.recipe, &mut scratch.sample);
-        stats.push(cache.score_local(&scratch.recipe));
-    }
-    stats
+/// One ensemble of an engine call; `seed` is the (region-salted) run
+/// seed and `k` the stream salt, 0 for the pairwise scorer.
+pub(crate) struct Ensemble<'e, S> {
+    pub(crate) scorer: &'e S,
+    pub(crate) sampler: &'e CuisineSampler,
+    pub(crate) model: NullModel,
+    pub(crate) seed: u64,
+    pub(crate) k: usize,
+}
+
+/// Sample and score `cfg.n_recipes` recipes per ensemble on
+/// `cfg.n_threads` workers; one summary per ensemble, in order (`None`
+/// when degenerate). Each ensemble carries its own seed.
+///
+/// `stage` labels the per-task fault probe and the failure (lowest
+/// task index wins for any thread count; `error.<stage>` is bumped).
+/// Records counters `<prefix>.recipes` / `<prefix>.blocks`, the
+/// per-block wall-time histogram `<prefix>.block_us` and the `pool.*`
+/// instruments; spans are the caller's. Telemetry never changes a
+/// result.
+pub(crate) fn run_ensembles<S: Scorer>(
+    ensembles: &[Ensemble<'_, S>],
+    cfg: &MonteCarloConfig,
+    stage: &'static str,
+    prefix: &str,
+    metrics: &Metrics,
+) -> Result<Vec<Option<NullEnsemble>>, StageFailure> {
+    let n_blocks = cfg.n_recipes.div_ceil(BLOCK);
+    let n_tasks = ensembles.len() * n_blocks;
+    metrics
+        .counter(&format!("{prefix}.recipes"))
+        .add((ensembles.len() * cfg.n_recipes) as u64);
+    metrics
+        .counter(&format!("{prefix}.blocks"))
+        .add(n_tasks as u64);
+    let block_hist = metrics.histogram(&format!("{prefix}.block_us"));
+    let blocks = pool::try_run(
+        cfg.n_threads,
+        n_tasks,
+        &pool::PoolObs::new(metrics),
+        <(Vec<u32>, SampleScratch, S::Scratch)>::default,
+        |(recipe, sample, score), t| -> Result<RunningStats, fault::InjectedFault> {
+            fault::probe(stage, t)?;
+            let timer = block_hist.start();
+            let (e, b) = (&ensembles[t / n_blocks], t % n_blocks);
+            let seed = derive_seed(e.seed, block_stream(e.k, e.model, b));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stats = RunningStats::new();
+            for _ in b * BLOCK..((b + 1) * BLOCK).min(cfg.n_recipes) {
+                e.sampler.generate_into(e.model, &mut rng, recipe, sample);
+                stats.push(e.scorer.score(recipe, score));
+            }
+            timer.stop();
+            Ok(stats)
+        },
+    )
+    .map_err(|f| StageFailure::from_task(stage, f).record(metrics))?;
+    Ok((0..ensembles.len())
+        .map(|e| {
+            let mut total = RunningStats::new();
+            for s in &blocks[e * n_blocks..][..n_blocks] {
+                total.merge(s);
+            }
+            NullEnsemble::from_running(&total)
+        })
+        .collect())
+}
+
+/// One ensemble under its caller's run span `<prefix>.run`.
+pub(crate) fn run_one<S: Scorer>(
+    ensemble: Ensemble<'_, S>,
+    cfg: &MonteCarloConfig,
+    stage: &'static str,
+    prefix: &str,
+    metrics: &Metrics,
+) -> Result<Option<NullEnsemble>, StageFailure> {
+    let _run_guard = metrics.span(&format!("{prefix}.run")).enter();
+    Ok(run_ensembles(&[ensemble], cfg, stage, prefix, metrics)?[0])
+}
+
+/// The PRNG stream id of block `b` of a `(k, model)` ensemble: k-salted,
+/// so orders never share a stream under one run seed.
+fn block_stream(k: usize, model: NullModel, b: usize) -> u64 {
+    (k as u64) << 48 | (model.index() as u64) << 32 | b as u64
 }
 
 /// Monte-Carlo configuration.
@@ -119,23 +182,15 @@ pub fn run_null_model(
         .unwrap_or_else(|failure| panic!("Monte-Carlo run failed: {failure}"))
 }
 
-/// The Monte-Carlo run every caller goes through. A panicking sampling
-/// block becomes a structured [`StageFailure`] at stage `mc.block`
-/// (lowest block index wins, identically for any thread count, and
-/// `error.mc.block` is bumped) instead of a crash.
+/// The pairwise Monte-Carlo run every caller goes through: one
+/// ensemble (k = 0) through the engine. A failing sampling block
+/// becomes a structured [`StageFailure`] at stage `mc.block` (lowest
+/// block index wins for any thread count; `error.mc.block` is bumped).
 ///
-/// Records through `metrics`:
-///
-/// * span `mc.run` — one call per (cuisine, model) run;
-/// * counters `mc.recipes` and `mc.blocks` — sampled recipes and
-///   scheduling blocks;
-/// * histogram `mc.block_us` — per-block wall time (its spread shows
-///   sampler imbalance between full and partial blocks);
-/// * the shared `pool.*` instruments.
-///
-/// Telemetry never changes the ensemble: block seeds, sampling, and
-/// the block-order merge are untouched, and the only per-block cost
-/// when enabled is one clock read pair.
+/// Records span `mc.run`, counters `mc.recipes` / `mc.blocks`,
+/// histogram `mc.block_us` (per-block wall time; its spread shows
+/// sampler imbalance between full and partial blocks) and the shared
+/// `pool.*` instruments. Telemetry never changes the ensemble.
 pub fn try_run_null_model(
     cache: &OverlapCache,
     sampler: &CuisineSampler,
@@ -143,39 +198,14 @@ pub fn try_run_null_model(
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<NullEnsemble>, StageFailure> {
-    let n_blocks = cfg.n_recipes.div_ceil(BLOCK);
-    if n_blocks == 0 {
-        return Ok(None);
-    }
-    let run_span = metrics.span("mc.run");
-    let run_guard = run_span.enter();
-    metrics.counter("mc.recipes").add(cfg.n_recipes as u64);
-    metrics.counter("mc.blocks").add(n_blocks as u64);
-    let block_hist = metrics.histogram("mc.block_us");
-    let blocks = pool::try_run(
-        cfg.n_threads,
-        n_blocks,
-        &pool::PoolObs::new(metrics),
-        McScratch::new,
-        |scratch, b| -> Result<RunningStats, fault::InjectedFault> {
-            fault::probe("mc.block", b)?;
-            let timer = block_hist.start();
-            let stats = block_stats(cache, sampler, model, cfg.seed, b, cfg.n_recipes, scratch);
-            timer.stop();
-            Ok(stats)
-        },
-    )
-    .map_err(|f| StageFailure::from_task("mc.block", f).record(metrics))?;
-
-    // Deterministic merge in block order (the pool already returned the
-    // blocks in that order).
-    let mut total = RunningStats::new();
-    for s in &blocks {
-        total.merge(s);
-    }
-    let out = NullEnsemble::from_running(&total);
-    run_guard.stop();
-    Ok(out)
+    let ensemble = Ensemble {
+        scorer: cache,
+        sampler,
+        model,
+        seed: cfg.seed,
+        k: 0,
+    };
+    run_one(ensemble, cfg, "mc.block", "mc", metrics)
 }
 
 #[cfg(test)]
@@ -381,5 +411,17 @@ mod tests {
         let cfg = MonteCarloConfig::quick(3000); // not a multiple of BLOCK
         let e = run_null_model(&cache, &sampler, NullModel::Random, &cfg).unwrap();
         assert_eq!(e.n, 3000);
+    }
+
+    #[test]
+    fn streams_disjoint_across_k_and_model() {
+        let mut seen = std::collections::HashSet::new();
+        for k in [0usize, 2, 3, 4] {
+            for model in NullModel::ALL {
+                for block in 0..4 {
+                    assert!(seen.insert(block_stream(k, model, block)));
+                }
+            }
+        }
     }
 }

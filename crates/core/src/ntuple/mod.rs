@@ -18,27 +18,26 @@
 //! prefix-mask stack — one word-AND + popcount per step, with empty
 //! prefixes pruning whole subtrees. Counts are exact integers, so every
 //! score is bit-identical to the frozen [`mod@reference`] walker (property-
-//! tested, and re-asserted by the `bench_ntuple` harness), and the
-//! Monte-Carlo ensembles are block-seeded on the shared worker pool, so
-//! they are bit-identical for every thread count.
+//! tested, and re-asserted by the `bench_ntuple` harness). The
+//! Monte-Carlo ensembles run on the same engine as the pairwise ones
+//! ([`crate::monte_carlo`]), with the scorer swapped for a
+//! [`KTupleScorer`] and the block streams salted with k, so they are
+//! bit-identical for every thread count.
 
 pub mod reference;
 
 use std::collections::HashMap;
 
-use culinaria_flavordb::{FlavorDb, IngredientId, MoleculeUniverse};
+use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::Cuisine;
-use culinaria_stats::rng::derive_seed;
-use culinaria_stats::{fault, pool};
-use culinaria_stats::{NullEnsemble, RunningStats};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use culinaria_stats::pool;
+use culinaria_stats::NullEnsemble;
 
 use crate::error::StageFailure;
-use crate::monte_carlo::{MonteCarloConfig, BLOCK};
-use crate::null_models::{CuisineSampler, NullModel, SampleScratch};
-use crate::pairing::IntersectScratch;
+use crate::monte_carlo::{run_one, Ensemble, MonteCarloConfig, Scorer};
+use crate::null_models::{CuisineSampler, NullModel};
+use crate::pairing::{local_map, pack_profiles, IntersectScratch};
 use crate::view::FlavorViewRef;
 
 /// C(n, k) as an exact integer (0 when k > n). Recipe sizes stay far
@@ -82,25 +81,11 @@ impl KTupleKernel {
     /// # Panics
     /// Panics on a dead ingredient id.
     pub fn build<'a>(flavor: impl Into<FlavorViewRef<'a>>, pool: &[IngredientId]) -> KTupleKernel {
-        let flavor = flavor.into();
-        let profiles: Vec<_> = pool
-            .iter()
-            .map(|&id| flavor.profile_molecules(id).expect("live ingredient"))
-            .collect();
-        let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
-        let words = universe.words();
-        let mut bits = Vec::with_capacity(pool.len() * words);
-        for p in &profiles {
-            bits.extend_from_slice(universe.pack_ids(p).words());
-        }
-        let local = pool
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
+        let (words, bits) = pack_profiles(flavor.into(), pool, "ktuple.pack", false)
+            .unwrap_or_else(|failure| panic!("k-tuple kernel build failed: {failure}"));
         KTupleKernel {
             pool: pool.to_vec(),
-            local,
+            local: local_map(pool),
             words,
             bits,
         }
@@ -303,22 +288,12 @@ impl KTupleScorer {
     }
 }
 
-/// Per-worker scratch of the parallel n-tuple ensembles: the sampled
-/// recipe, the sampler's distinctness bitmask, and the intersection
-/// prefix-mask stack.
-#[derive(Debug, Default)]
-struct KTupleMcScratch {
-    recipe: Vec<u32>,
-    sample: SampleScratch,
-    inter: IntersectScratch,
-}
+impl Scorer for KTupleScorer {
+    type Scratch = IntersectScratch;
 
-/// The PRNG stream id of one `(k, model, block)` cell. Salting with k
-/// keeps ensembles of different orders on disjoint streams even under
-/// one run seed (the pairwise engine's `(model, block)` lattice sits at
-/// k = 0 of this layout and stays disjoint too).
-fn ktuple_stream(k: usize, model: NullModel, block: usize) -> u64 {
-    (k as u64) << 48 | (model.index() as u64) << 32 | block as u64
+    fn score(&self, locals: &[u32], scratch: &mut IntersectScratch) -> f64 {
+        self.score_local_with(locals, scratch)
+    }
 }
 
 /// Monte-Carlo null ensemble of N_s^(k) for one cuisine and model,
@@ -339,13 +314,14 @@ pub fn ktuple_null_ensemble(
         .unwrap_or_else(|failure| panic!("k-tuple Monte-Carlo run failed: {failure}"))
 }
 
-/// The k-tuple Monte-Carlo run every caller goes through, parallel over
-/// fixed 2048-recipe blocks on the shared worker pool.
+/// The k-tuple Monte-Carlo run every caller goes through: one ensemble
+/// through the pairwise runs' engine ([`crate::monte_carlo`]), salted
+/// with k.
 ///
 /// Block `b` draws from `derive_seed(cfg.seed, k << 48 | model << 32 |
 /// b)` and per-block statistics merge in block order, so the ensemble
 /// is **bit-identical for every thread count** — the same determinism
-/// contract as the pairwise engine (DESIGN.md §6.2). Callers salt
+/// contract as the pairwise runs (DESIGN.md §6.2). Callers salt
 /// `cfg.seed` per region (`derive_seed_labeled`) as usual.
 ///
 /// Records through `metrics`: span `mc.ktuple.run`, counters
@@ -354,7 +330,7 @@ pub fn ktuple_null_ensemble(
 /// — the k-tuple mirror of [`crate::monte_carlo::try_run_null_model`].
 /// Telemetry never changes the ensemble.
 ///
-/// A panicking sampling block becomes a structured [`StageFailure`] at
+/// A failing sampling block becomes a structured [`StageFailure`] at
 /// stage `mc.ktuple.block` (lowest block index wins, identically for
 /// any thread count, and `error.mc.ktuple.block` is bumped).
 pub fn try_ktuple_null_ensemble(
@@ -364,46 +340,14 @@ pub fn try_ktuple_null_ensemble(
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<NullEnsemble>, StageFailure> {
-    let n_blocks = cfg.n_recipes.div_ceil(BLOCK);
-    if n_blocks == 0 {
-        return Ok(None);
-    }
-    let run_span = metrics.span("mc.ktuple.run");
-    let run_guard = run_span.enter();
-    metrics
-        .counter("mc.ktuple.recipes")
-        .add(cfg.n_recipes as u64);
-    metrics.counter("mc.ktuple.blocks").add(n_blocks as u64);
-    let block_hist = metrics.histogram("mc.ktuple.block_us");
-    let blocks = pool::try_run(
-        cfg.n_threads,
-        n_blocks,
-        &pool::PoolObs::new(metrics),
-        KTupleMcScratch::default,
-        |scratch, b| -> Result<RunningStats, fault::InjectedFault> {
-            fault::probe("mc.ktuple.block", b)?;
-            let timer = block_hist.start();
-            let lo = b * BLOCK;
-            let hi = ((b + 1) * BLOCK).min(cfg.n_recipes);
-            let mut rng =
-                StdRng::seed_from_u64(derive_seed(cfg.seed, ktuple_stream(scorer.k, model, b)));
-            let mut stats = RunningStats::new();
-            for _ in lo..hi {
-                sampler.generate_into(model, &mut rng, &mut scratch.recipe, &mut scratch.sample);
-                stats.push(scorer.score_local_with(&scratch.recipe, &mut scratch.inter));
-            }
-            timer.stop();
-            Ok(stats)
-        },
-    )
-    .map_err(|f| StageFailure::from_task("mc.ktuple.block", f).record(metrics))?;
-    let mut total = RunningStats::new();
-    for s in &blocks {
-        total.merge(s);
-    }
-    let out = NullEnsemble::from_running(&total);
-    run_guard.stop();
-    Ok(out)
+    let ensemble = Ensemble {
+        scorer,
+        sampler,
+        model,
+        seed: cfg.seed,
+        k: scorer.k,
+    };
+    run_one(ensemble, cfg, "mc.ktuple.block", "mc.ktuple", metrics)
 }
 
 #[cfg(test)]
@@ -637,17 +581,5 @@ mod tests {
         assert_eq!(snap.counter("mc.ktuple.blocks"), Some(2));
         assert_eq!(snap.span("mc.ktuple.run").unwrap().calls, 1);
         assert_eq!(snap.histogram("mc.ktuple.block_us").unwrap().count, 2);
-    }
-
-    #[test]
-    fn streams_disjoint_across_k_and_model() {
-        let mut seen = std::collections::HashSet::new();
-        for k in [0usize, 2, 3, 4] {
-            for model in NullModel::ALL {
-                for block in 0..4 {
-                    assert!(seen.insert(ktuple_stream(k, model, block)));
-                }
-            }
-        }
     }
 }

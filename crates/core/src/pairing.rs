@@ -251,31 +251,8 @@ impl OverlapCache {
             .add((n * n.saturating_sub(1) / 2) as u64);
 
         let pack_guard = build_span.child("pack").enter();
-        let mut profiles: Vec<&[culinaria_flavordb::MoleculeId]> = Vec::with_capacity(n);
-        for (i, &id) in pool.iter().enumerate() {
-            fault::probe("overlap.pack", i).map_err(|e| {
-                StageFailure::error("overlap.pack", i, e.to_string()).record(metrics)
-            })?;
-            match view.profile_molecules(id) {
-                Ok(p) => profiles.push(p),
-                Err(e) => {
-                    return Err(StageFailure::error(
-                        "overlap.pack",
-                        i,
-                        format!("ingredient id {} is not usable: {e}", id.index()),
-                    )
-                    .record(metrics))
-                }
-            }
-        }
-        let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
-        let words = universe.words();
-        // One flat row-major matrix: row i at `i*words..(i+1)*words`.
-        // Tiles slice strips out of it without chasing Vec pointers.
-        let mut bits: Vec<u64> = Vec::with_capacity(n * words);
-        for p in &profiles {
-            bits.extend_from_slice(universe.pack_ids(p).words());
-        }
+        let (words, bits) =
+            pack_profiles(view, pool, "overlap.pack", true).map_err(|f| f.record(metrics))?;
         pack_guard.stop();
 
         // Cut the strict upper triangle into L2-sized tiles and fan
@@ -328,16 +305,7 @@ impl OverlapCache {
                 cur += len;
             }
         }
-        let local = pool
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
-        Ok(OverlapCache {
-            pool: pool.to_vec(),
-            local,
-            tri,
-        })
+        Ok(OverlapCache::from_parts(pool, tri).expect("n(n-1)/2 cells for n ingredients"))
     }
 
     /// Reassemble a cache from a pool and its packed upper triangle —
@@ -352,14 +320,9 @@ impl OverlapCache {
         if tri.len() != n * n.saturating_sub(1) / 2 {
             return None;
         }
-        let local = pool
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
         Some(OverlapCache {
             pool: pool.to_vec(),
-            local,
+            local: local_map(pool),
             tri,
         })
     }
@@ -406,47 +369,17 @@ impl OverlapCache {
                 ),
             ));
         }
-        if kept == m {
-            // Nothing new: the grown pool is a permutation of the old
-            // one, so every cell is a copy.
-            let mut tri = vec![0u32; m * m.saturating_sub(1) / 2];
-            let row_base = |i: usize| i * (2 * m - i - 1) / 2;
-            for i in 0..m {
-                for j in (i + 1)..m {
-                    // `kept == m` means every position mapped.
-                    if let (Some(a), Some(b)) = (old[i], old[j]) {
-                        tri[row_base(i) + (j - i - 1)] = self.overlap(a, b);
-                    }
-                }
-            }
-            return OverlapCache::from_parts(pool, tri).ok_or_else(|| {
-                StageFailure::error("overlap.extend", 0, "triangle/pool size mismatch")
-            });
-        }
-
-        // Pack every profile once (new cells pair new ingredients with
-        // arbitrary rows). The universe only needs to *cover* the
-        // profiles — counts are exact either way — so building it from
-        // the grown pool keeps new cells equal to a cold build's.
-        let mut profiles: Vec<&[culinaria_flavordb::MoleculeId]> = Vec::with_capacity(m);
-        for (i, &id) in pool.iter().enumerate() {
-            match flavor.profile_molecules(id) {
-                Ok(p) => profiles.push(p),
-                Err(e) => {
-                    return Err(StageFailure::error(
-                        "overlap.extend",
-                        i,
-                        format!("ingredient id {} is not usable: {e}", id.index()),
-                    ))
-                }
-            }
-        }
-        let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
-        let words = universe.words();
-        let mut bits: Vec<u64> = Vec::with_capacity(m * words);
-        for p in &profiles {
-            bits.extend_from_slice(universe.pack_ids(p).words());
-        }
+        // Pack every profile once when any is new (new cells pair new
+        // ingredients with arbitrary rows); a grown pool that is a
+        // permutation of the old one is all copies. The universe only
+        // needs to *cover* the profiles — counts are exact either way —
+        // so building it from the grown pool keeps new cells equal to a
+        // cold build's.
+        let (words, bits) = if kept == m {
+            (0, Vec::new())
+        } else {
+            pack_profiles(flavor, pool, "overlap.extend", false)?
+        };
 
         let mut tri = vec![0u32; m * m.saturating_sub(1) / 2];
         let row_base = |i: usize| i * (2 * m - i - 1) / 2;
@@ -581,6 +514,50 @@ impl OverlapCache {
         }
         Some(if n == 0 { 0.0 } else { total / n as f64 })
     }
+}
+
+/// A pool's dense `id → local index` map (an id's position in `pool`).
+pub(crate) fn local_map(pool: &[IngredientId]) -> HashMap<IngredientId, u32> {
+    pool.iter()
+        .enumerate()
+        .map(|(i, &id)| (id, i as u32))
+        .collect()
+}
+
+/// Pack `pool`'s flavor profiles as bitsets over the pool's own
+/// [`MoleculeUniverse`] into one row-major matrix — row `i` (pool
+/// position `i`) at `i*words..(i+1)*words` — and return
+/// `(words, bits)`. The one packer under the overlap build, its
+/// incremental extension and the k-tuple kernel.
+///
+/// A dead id at position `i` fails as `stage` at index `i`; with
+/// `probe`, position `i` first passes the fault probe `stage` at `i`.
+pub(crate) fn pack_profiles(
+    flavor: FlavorViewRef<'_>,
+    pool: &[IngredientId],
+    stage: &'static str,
+    probe: bool,
+) -> Result<(usize, Vec<u64>), StageFailure> {
+    let mut profiles: Vec<&[MoleculeId]> = Vec::with_capacity(pool.len());
+    for (i, &id) in pool.iter().enumerate() {
+        if probe {
+            fault::probe(stage, i).map_err(|e| StageFailure::error(stage, i, e.to_string()))?;
+        }
+        profiles.push(flavor.profile_molecules(id).map_err(|e| {
+            StageFailure::error(
+                stage,
+                i,
+                format!("ingredient id {} is not usable: {e}", id.index()),
+            )
+        })?);
+    }
+    let universe = MoleculeUniverse::build_from_slices(profiles.iter().copied());
+    let words = universe.words();
+    let mut bits = Vec::with_capacity(pool.len() * words);
+    for p in &profiles {
+        bits.extend_from_slice(universe.pack_ids(p).words());
+    }
+    Ok((words, bits))
 }
 
 /// One novel-pairing candidate: a pool pair (local indices `i < j`)

@@ -1,29 +1,28 @@
 //! Z-score analysis of cuisines against the null models (Fig 4) and the
 //! full 22-region driver.
 //!
-//! The world driver does not run region after region: it flattens every
-//! `(region, model, block)` triple of the full Fig 4 run into one task
-//! queue on the shared worker pool, so a thread finishing the last
-//! block of one cuisine immediately starts the next cuisine's work
-//! instead of idling at a per-region barrier.
-//!
-//! Each region's Monte-Carlo streams are salted with its region code
-//! (`derive_seed_labeled(cfg.seed, region.code())`) — in both
-//! [`analyze_cuisine`] and [`analyze_world`] — so (a) no two regions
-//! share a random stream, and (b) analyzing a cuisine alone is
-//! bit-identical to its row of the world run.
+//! One driver answers every analysis — a cuisine analysis is the world
+//! driver over one region — in three steps: *prepare* (per region: the
+//! sampler, overlap cache and observed mean), *Monte Carlo* (every
+//! `(region, model)` ensemble through one engine call,
+//! [`crate::monte_carlo`], so no per-region barrier idles a worker) and
+//! *merge* (one Z per `(region, model)`). Each region's streams are
+//! salted with its region code (`derive_seed_labeled(cfg.seed,
+//! region.code())`), so no two regions share a random stream and a
+//! cuisine analyzed alone is bit-identical to its row of the world run.
+
+use std::borrow::Cow;
 
 use culinaria_flavordb::IngredientId;
 use culinaria_obs::Metrics;
 use culinaria_recipedb::Region;
 use culinaria_stats::rng::derive_seed_labeled;
 use culinaria_stats::zscore::z_score_of_mean;
-use culinaria_stats::{fault, pool};
-use culinaria_stats::{NullEnsemble, RunningStats};
+use culinaria_stats::NullEnsemble;
 use culinaria_tabular::{Column, Frame};
 
 use crate::error::StageFailure;
-use crate::monte_carlo::{block_stats, try_run_null_model, McScratch, MonteCarloConfig, BLOCK};
+use crate::monte_carlo::{run_ensembles, Ensemble, MonteCarloConfig, BLOCK};
 use crate::null_models::{CuisineSampler, NullModel};
 use crate::pairing::OverlapCache;
 use crate::view::{CuisineView, FlavorViewRef, RecipesViewRef};
@@ -116,26 +115,17 @@ pub fn analyze_cuisine<'a>(
 }
 
 /// The cuisine analysis every caller goes through, over owned data or
-/// zero-copy CFDB2/CRDB2 artifact views. The analysis is bit-identical
-/// across representations; an artifact that carries the region's
-/// overlap section skips the cache build (see [`region_overlap_cache`])
-/// without changing any number.
+/// zero-copy CFDB2/CRDB2 artifact views: the world driver
+/// ([`try_analyze_world`]) over this one region. The analysis is
+/// bit-identical across representations; an artifact that carries the
+/// region's overlap section skips the cache build (see
+/// [`region_overlap_cache`]) without changing any number.
 ///
-/// The Monte-Carlo streams are salted with the cuisine's region code,
-/// so the result is bit-identical to the same region's row of
-/// [`try_analyze_world`] under the same configuration.
-///
-/// Records through `metrics`: the nested overlap-cache build records
-/// the `overlap.*` instruments and each null-model run the `mc.*` and
-/// `pool.*` instruments (see
-/// [`crate::monte_carlo::try_run_null_model`]). Telemetry never changes
-/// the analysis.
-///
-/// Stage failures (dead ingredient ids, degenerate ensembles,
-/// panicking Monte-Carlo blocks) become a structured [`StageFailure`],
-/// deterministic for any thread count, and bump `error.<stage>`.
-/// `Ok(None)` means "no pairing-bearing recipes" — an expected outcome,
-/// not a failure.
+/// The result is bit-identical to the same region's row of
+/// [`try_analyze_world`] under the same configuration, and records
+/// the same instruments and failure stages (`world.regions` is 1).
+/// `Ok(None)` means "no pairing-bearing recipes" — an expected
+/// outcome, not a failure.
 pub fn try_analyze_cuisine<'a>(
     flavor: impl Into<FlavorViewRef<'a>>,
     cuisine: impl Into<CuisineView<'a>>,
@@ -143,13 +133,8 @@ pub fn try_analyze_cuisine<'a>(
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let (flavor, cuisine) = (flavor.into(), cuisine.into());
-    let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) else {
-        return Ok(None);
-    };
-    let pool = cuisine.ingredient_set();
-    let cache = region_overlap_cache(flavor, cuisine.region(), &pool, cfg.n_threads, metrics)?;
-    analyze_sampled(cuisine, &sampler, &cache, models, cfg, metrics)
+    let regions = [(cuisine.into(), None)];
+    Ok(analyze_regions(flavor.into(), regions, models, cfg, metrics)?.pop())
 }
 
 /// Obtain a region's overlap cache: when the flavor view carries a
@@ -181,9 +166,11 @@ pub fn region_overlap_cache(
 /// [`try_analyze_cuisine`] with a caller-supplied overlap cache — the
 /// entry point for long-lived processes (`culinaria serve`) that build
 /// each region's cache once and reuse it across queries. The cache must
-/// cover the cuisine's ingredient set (what [`region_overlap_cache`]
-/// builds); the analysis is then bit-identical to the cache-building
-/// path for the same `cfg`.
+/// be built over exactly the cuisine's ingredient set (what
+/// [`region_overlap_cache`] builds; sampled recipes index that set);
+/// the analysis is then bit-identical to the cache-building path for
+/// the same `cfg`, and records the same instruments minus the cache
+/// build's.
 pub fn try_analyze_cuisine_with_cache<'a>(
     flavor: impl Into<FlavorViewRef<'a>>,
     cuisine: impl Into<CuisineView<'a>>,
@@ -192,75 +179,8 @@ pub fn try_analyze_cuisine_with_cache<'a>(
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let cuisine = cuisine.into();
-    let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) else {
-        return Ok(None);
-    };
-    analyze_sampled(cuisine, &sampler, cache, models, cfg, metrics)
-}
-
-/// Shared tail of the cuisine analysis once a sampler and overlap
-/// cache exist: observed mean, per-model null ensembles, Z-scores.
-fn analyze_sampled(
-    cuisine: CuisineView<'_>,
-    sampler: &CuisineSampler,
-    cache: &OverlapCache,
-    models: &[NullModel],
-    cfg: &MonteCarloConfig,
-    metrics: &Metrics,
-) -> Result<Option<CuisineAnalysis>, StageFailure> {
-    let region = cuisine.region();
-    let observed_mean = cache.mean_cuisine_score(cuisine).ok_or_else(|| {
-        StageFailure::error(
-            "cuisine.score",
-            0,
-            format!(
-                "cuisine {} references ingredients outside its own pool",
-                region.code()
-            ),
-        )
-        .record(metrics)
-    })?;
-
-    let region_cfg = MonteCarloConfig {
-        seed: derive_seed_labeled(cfg.seed, region.code()),
-        ..*cfg
-    };
-    let mut comparisons = Vec::with_capacity(models.len());
-    for (mi, &model) in models.iter().enumerate() {
-        let null =
-            try_run_null_model(cache, sampler, model, &region_cfg, metrics)?.ok_or_else(|| {
-                StageFailure::error(
-                    "mc.run",
-                    mi,
-                    format!("degenerate {model} ensemble: fewer than two sampled recipes"),
-                )
-                .record(metrics)
-            })?;
-        let z = z_score_of_mean(observed_mean, &null);
-        comparisons.push(ModelComparison { model, null, z });
-    }
-
-    Ok(Some(CuisineAnalysis {
-        region,
-        n_recipes: sampler.n_templates(),
-        n_ingredients: cache.len(),
-        observed_mean,
-        comparisons,
-    }))
-}
-
-/// A region's immutable per-run state, shared read-only by every
-/// worker of the flattened world queue.
-struct PreparedRegion {
-    region: Region,
-    sampler: CuisineSampler,
-    cache: OverlapCache,
-    observed_mean: f64,
-    n_recipes: usize,
-    n_ingredients: usize,
-    /// Region-salted Monte-Carlo seed.
-    seed: u64,
+    let regions = [(cuisine.into(), Some(cache))];
+    Ok(analyze_regions(flavor.into(), regions, models, cfg, metrics)?.pop())
 }
 
 /// Analyze every populated region of a store (the full Fig 4 run),
@@ -300,30 +220,23 @@ pub fn analyze_world_observed<'a>(
 /// [`OverlapCache::from_parts`]).
 ///
 /// All `(region, model, block)` Monte-Carlo work units go through one
-/// shared worker pool as a single flattened queue — there is no
-/// per-region or per-model barrier, so late stragglers of one cuisine
-/// overlap with the next cuisine's blocks. Block statistics come back
-/// in canonical task order and are merged per `(region, model)` in
-/// block order, keeping every number bit-identical for any thread
-/// count, for either representation, and equal to the per-region
-/// [`try_analyze_cuisine`] results.
+/// engine call, a single flattened queue, and are folded per
+/// `(region, model)` in block order: every number is bit-identical for
+/// any thread count and either representation. [`try_analyze_cuisine`]
+/// is this driver over one region.
 ///
-/// Records through `metrics`:
+/// Records through `metrics`: spans `world.prepare` (samplers, overlap
+/// caches — whose builds record `overlap.*` — and observed means),
+/// `world.mc` and `world.merge`; counters `world.regions`,
+/// `world.tasks` (flattened triples) and `mc.recipes` / `mc.blocks`;
+/// histogram `mc.block_us`; the shared `pool.*` instruments. Telemetry
+/// never changes a row.
 ///
-/// * spans `world.prepare` (samplers + overlap caches + observed
-///   means; the nested cache builds record the `overlap.*`
-///   instruments), `world.mc` (the flattened Monte-Carlo queue) and
-///   `world.merge` (the canonical per-`(region, model)` fold);
-/// * counters `world.regions`, `world.tasks` (flattened `(region,
-///   model, block)` triples) and `mc.recipes` / `mc.blocks` totals;
-/// * histogram `mc.block_us` — per-block wall time across the whole
-///   world run;
-/// * the shared `pool.*` instruments.
-///
-/// Telemetry never changes a row. Failures in region preparation, the
-/// flattened Monte-Carlo queue (stage `world.block`, lowest task index
-/// wins), or the canonical merge become a structured [`StageFailure`],
-/// identical for any thread count, and bump `error.<stage>`.
+/// Failures become a structured [`StageFailure`], identical for any
+/// thread count, and bump `error.<stage>`: a region whose recipes leave
+/// its own pool at `world.prepare[r]` (`r` counts prepared regions), a
+/// Monte-Carlo block at `world.block[(r·n_models + m)·n_blocks + b]`
+/// (lowest wins), a degenerate ensemble at `world.merge[r·n_models + m]`.
 pub fn try_analyze_world<'a>(
     flavor: impl Into<FlavorViewRef<'a>>,
     recipes: impl Into<RecipesViewRef<'a>>,
@@ -331,18 +244,87 @@ pub fn try_analyze_world<'a>(
     cfg: &MonteCarloConfig,
     metrics: &Metrics,
 ) -> Result<Vec<CuisineAnalysis>, StageFailure> {
-    let (flavor, recipes) = (flavor.into(), recipes.into());
-    // Setup pass: samplers, overlap caches (internally parallel), and
-    // observed means per populated region.
-    let prepare_guard = metrics.span("world.prepare").enter();
-    let mut prepared: Vec<PreparedRegion> = Vec::new();
-    for region in recipes.regions() {
-        let cuisine = recipes.cuisine(region);
+    let recipes = recipes.into();
+    let regions = recipes
+        .regions()
+        .into_iter()
+        .map(|region| (recipes.cuisine(region), None));
+    analyze_regions(flavor.into(), regions, models, cfg, metrics)
+}
+
+/// A region's immutable per-run state, shared read-only by every
+/// worker of the flattened Monte-Carlo queue.
+struct PreparedRegion<'c> {
+    region: Region,
+    sampler: CuisineSampler,
+    cache: Cow<'c, OverlapCache>,
+    observed_mean: f64,
+    /// Region-salted Monte-Carlo seed.
+    seed: u64,
+}
+
+/// The driver under every cuisine and world analysis: prepare each
+/// region (with its given overlap cache, or one from
+/// [`region_overlap_cache`]), run every `(region, model)` ensemble
+/// through one engine call, and merge.
+fn analyze_regions<'a, 'c>(
+    flavor: FlavorViewRef<'a>,
+    regions: impl IntoIterator<Item = (CuisineView<'a>, Option<&'c OverlapCache>)>,
+    models: &[NullModel],
+    cfg: &MonteCarloConfig,
+    metrics: &Metrics,
+) -> Result<Vec<CuisineAnalysis>, StageFailure> {
+    let prepared = prepare(flavor, regions, cfg, metrics)?;
+    let ensembles: Vec<Ensemble<'_, OverlapCache>> = prepared
+        .iter()
+        .flat_map(|p| {
+            models.iter().map(move |&model| Ensemble {
+                scorer: &*p.cache,
+                sampler: &p.sampler,
+                model,
+                seed: p.seed,
+                k: 0,
+            })
+        })
+        .collect();
+    metrics.counter("world.regions").add(prepared.len() as u64);
+    metrics
+        .counter("world.tasks")
+        .add((ensembles.len() * cfg.n_recipes.div_ceil(BLOCK)) as u64);
+    let mc_guard = metrics.span("world.mc").enter();
+    let nulls = run_ensembles(&ensembles, cfg, "world.block", "mc", metrics)?;
+    mc_guard.stop();
+    merge(&prepared, models, &nulls, metrics)
+}
+
+/// The driver's prepare step: sampler, overlap cache and observed mean
+/// per region. Regions without pairing-bearing recipes are skipped.
+fn prepare<'a, 'c>(
+    flavor: FlavorViewRef<'a>,
+    regions: impl IntoIterator<Item = (CuisineView<'a>, Option<&'c OverlapCache>)>,
+    cfg: &MonteCarloConfig,
+    metrics: &Metrics,
+) -> Result<Vec<PreparedRegion<'c>>, StageFailure> {
+    let _prepare_guard = metrics.span("world.prepare").enter();
+    let mut prepared = Vec::new();
+    for (cuisine, cache) in regions {
+        let region = cuisine.region();
         let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) else {
             continue;
         };
-        let pool = cuisine.ingredient_set();
-        let cache = region_overlap_cache(flavor, region, &pool, cfg.n_threads, metrics)?;
+        let cache = match cache {
+            Some(cache) => Cow::Borrowed(cache),
+            None => {
+                let pool = cuisine.ingredient_set();
+                Cow::Owned(region_overlap_cache(
+                    flavor,
+                    region,
+                    &pool,
+                    cfg.n_threads,
+                    metrics,
+                )?)
+            }
+        };
         let observed_mean = cache.mean_cuisine_score(cuisine).ok_or_else(|| {
             StageFailure::error(
                 "world.prepare",
@@ -356,74 +338,33 @@ pub fn try_analyze_world<'a>(
         })?;
         prepared.push(PreparedRegion {
             region,
-            n_recipes: sampler.n_templates(),
-            n_ingredients: pool.len(),
             sampler,
             cache,
             observed_mean,
             seed: derive_seed_labeled(cfg.seed, region.code()),
         });
     }
-    prepare_guard.stop();
+    Ok(prepared)
+}
 
-    // Flattened Monte-Carlo queue: task index ↔ (region, model, block)
-    // by uniform stride, so no task list needs materializing.
-    let n_models = models.len();
-    let n_blocks = cfg.n_recipes.div_ceil(BLOCK);
-    let per_region = n_models * n_blocks;
-    let n_tasks = prepared.len() * per_region;
-    metrics.counter("world.regions").add(prepared.len() as u64);
-    metrics.counter("world.tasks").add(n_tasks as u64);
-    metrics
-        .counter("mc.recipes")
-        .add((prepared.len() * n_models * cfg.n_recipes) as u64);
-    metrics.counter("mc.blocks").add(n_tasks as u64);
-    let block_hist = metrics.histogram("mc.block_us");
-    let mc_guard = metrics.span("world.mc").enter();
-    let block_results = pool::try_run(
-        cfg.n_threads,
-        n_tasks,
-        &pool::PoolObs::new(metrics),
-        McScratch::new,
-        |scratch, t| -> Result<RunningStats, fault::InjectedFault> {
-            fault::probe("world.block", t)?;
-            let timer = block_hist.start();
-            let p = &prepared[t / per_region];
-            let rem = t % per_region;
-            let model = models[rem / n_blocks];
-            let block = rem % n_blocks;
-            let stats = block_stats(
-                &p.cache,
-                &p.sampler,
-                model,
-                p.seed,
-                block,
-                cfg.n_recipes,
-                scratch,
-            );
-            timer.stop();
-            Ok(stats)
-        },
-    )
-    .map_err(|f| StageFailure::from_task("world.block", f).record(metrics))?;
-    mc_guard.stop();
-
-    // Canonical merge: per (region, model), fold blocks in block order.
-    let merge_span = metrics.span("world.merge");
-    let _merge_guard = merge_span.enter();
+/// The driver's merge step: one Z per `(region, model)` from its null
+/// ensemble (`nulls` region-major, in `models` order).
+fn merge(
+    prepared: &[PreparedRegion<'_>],
+    models: &[NullModel],
+    nulls: &[Option<NullEnsemble>],
+    metrics: &Metrics,
+) -> Result<Vec<CuisineAnalysis>, StageFailure> {
+    let _merge_guard = metrics.span("world.merge").enter();
     let mut analyses = Vec::with_capacity(prepared.len());
     for (pi, p) in prepared.iter().enumerate() {
-        let mut comparisons = Vec::with_capacity(n_models);
+        let mut comparisons = Vec::with_capacity(models.len());
         for (mi, &model) in models.iter().enumerate() {
-            let mut total = RunningStats::new();
-            let base = pi * per_region + mi * n_blocks;
-            for stats in &block_results[base..base + n_blocks] {
-                total.merge(stats);
-            }
-            let null = NullEnsemble::from_running(&total).ok_or_else(|| {
+            let e = pi * models.len() + mi;
+            let null = nulls[e].ok_or_else(|| {
                 StageFailure::error(
                     "world.merge",
-                    pi * n_models + mi,
+                    e,
                     format!(
                         "degenerate {model} ensemble for {}: fewer than two sampled recipes",
                         p.region.code()
@@ -436,8 +377,8 @@ pub fn try_analyze_world<'a>(
         }
         analyses.push(CuisineAnalysis {
             region: p.region,
-            n_recipes: p.n_recipes,
-            n_ingredients: p.n_ingredients,
+            n_recipes: p.sampler.n_templates(),
+            n_ingredients: p.cache.len(),
             observed_mean: p.observed_mean,
             comparisons,
         });

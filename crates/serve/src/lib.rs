@@ -27,9 +27,10 @@
 //!
 //! The server can sit on a *stream* of recipes (`culinaria ingest`,
 //! `culinaria_recipedb::wal`): [`Server::ingest_swap`] installs a new
-//! data generation atomically — lazy shards and the `SCORE` context
-//! rebuild on first use, and cached responses from older generations
-//! are invalidated lazily on lookup
+//! recipe generation atomically — lazy shards rebuild on first use
+//! (the flavor view and the `SCORE` context are the server's, so they
+//! carry over), and cached responses from older generations are
+//! invalidated lazily on lookup
 //! ([`cache::ResponseCache::set_generation`], counted by
 //! `serve.cache.invalidations`). `bench_stream` measures this
 //! ingest-while-serving regime; the wire protocol itself is documented

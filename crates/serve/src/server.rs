@@ -21,8 +21,11 @@
 //!
 //! # Generations and ingest
 //!
-//! The server's data views, lazy shards, and `SCORE` context live in
-//! an immutable **epoch** behind an `RwLock<Arc<…>>`. A batch snapshots
+//! The flavor side is fixed for the server's life: the flavor view and
+//! the `SCORE` context (built on the first `SCORE`) live on the
+//! [`Server`] itself, so an ingest never rebuilds them. The recipe
+//! view and the lazy per-region shards derived from it live in an
+//! immutable **epoch** behind an `RwLock<Arc<…>>`. A batch snapshots
 //! the current epoch once and answers entirely against it, so a
 //! concurrent [`Server::ingest_swap`] — which installs a new epoch with
 //! fresh (empty) shard slots and bumps the **generation counter** —
@@ -222,24 +225,20 @@ impl ServeObs {
 
 type ShardSlot = Result<Option<Arc<RegionShard>>, String>;
 
-/// One immutable data generation: the world views plus every piece of
-/// lazily-derived state that depends on them. Swapped wholesale by
+/// One immutable data generation: the recipe view plus the lazy
+/// per-region shards derived from it. Swapped wholesale by
 /// [`Server::ingest_swap`]; batches snapshot the `Arc` once, so a swap
 /// never tears in-flight work.
 struct Epoch<'a> {
-    flavor: FlavorViewRef<'a>,
     recipes: RecipesViewRef<'a>,
     shards: Vec<OnceLock<ShardSlot>>,
-    score_ctx: OnceLock<Option<ScoreCtx<'a>>>,
 }
 
 impl<'a> Epoch<'a> {
-    fn new(flavor: FlavorViewRef<'a>, recipes: RecipesViewRef<'a>) -> Epoch<'a> {
+    fn new(recipes: RecipesViewRef<'a>) -> Epoch<'a> {
         Epoch {
-            flavor,
             recipes,
             shards: (0..Region::ALL.len()).map(|_| OnceLock::new()).collect(),
-            score_ctx: OnceLock::new(),
         }
     }
 }
@@ -258,6 +257,8 @@ pub struct ConnStats {
 
 /// See the module docs.
 pub struct Server<'a> {
+    flavor: FlavorViewRef<'a>,
+    score_ctx: OnceLock<Option<ScoreCtx<'a>>>,
     epoch: RwLock<Arc<Epoch<'a>>>,
     generation: AtomicU64,
     cfg: ServeConfig,
@@ -282,7 +283,9 @@ impl<'a> Server<'a> {
         let cache = NonZeroUsize::new(cfg.cache_entries)
             .map(|capacity| Mutex::new(ResponseCache::new(capacity, &metrics)));
         Server {
-            epoch: RwLock::new(Arc::new(Epoch::new(flavor, recipes))),
+            flavor,
+            score_ctx: OnceLock::new(),
+            epoch: RwLock::new(Arc::new(Epoch::new(recipes))),
             generation: AtomicU64::new(0),
             cfg,
             metrics,
@@ -307,9 +310,10 @@ impl<'a> Server<'a> {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Install a new data generation after an ingest: replace the world
-    /// views, reset the lazy per-region shards and `SCORE` context
-    /// (they rebuild on first use against the new data), and move the
+    /// Install a new data generation after an ingest: replace the recipe
+    /// view, reset the lazy per-region shards (they rebuild on first use
+    /// against the new data; the flavor view and the `SCORE` context
+    /// carry over), and move the
     /// response cache's generation forward so every cached answer from
     /// an older generation is evicted on its next lookup (counted by
     /// `serve.cache.invalidations`). Returns the new generation.
@@ -317,8 +321,8 @@ impl<'a> Server<'a> {
     /// The swap is atomic from a batch's point of view: batches
     /// snapshot the epoch once at entry and finish against it, so
     /// responses in one batch never mix generations.
-    pub fn ingest_swap(&self, flavor: FlavorViewRef<'a>, recipes: RecipesViewRef<'a>) -> u64 {
-        let next = Arc::new(Epoch::new(flavor, recipes));
+    pub fn ingest_swap(&self, recipes: RecipesViewRef<'a>) -> u64 {
+        let next = Arc::new(Epoch::new(recipes));
         *self.epoch.write().unwrap_or_else(|p| p.into_inner()) = next;
         let generation = self.generation.fetch_add(1, Ordering::AcqRel) + 1;
         if let Some(cache) = self.cache.as_ref() {
@@ -370,7 +374,7 @@ impl<'a> Server<'a> {
         }
         // Single-threaded build: shard builds run inside batch workers,
         // and the artifact-section fast path is a memcpy anyway.
-        let overlap = region_overlap_cache(ep.flavor, region, &pool, 1, &self.metrics)
+        let overlap = region_overlap_cache(self.flavor, region, &pool, 1, &self.metrics)
             .map_err(|f| f.to_string())?;
         self.obs.shard_builds.add(1);
         Ok(Some(Arc::new(RegionShard {
@@ -574,7 +578,7 @@ impl<'a> Server<'a> {
         let via_shard = region
             .and_then(|r| self.shard(ep, r).ok().flatten())
             .and_then(|shard| shard.overlap.score_ids(ids));
-        match via_shard.or_else(|| try_recipe_pairing_score(ep.flavor, ids)) {
+        match via_shard.or_else(|| try_recipe_pairing_score(self.flavor, ids)) {
             Some(score) => format!("OK {}", pair_body(score)),
             None => Self::err("bad-ids", "unknown ingredient id in set"),
         }
@@ -594,7 +598,7 @@ impl<'a> Server<'a> {
             n_threads: 1,
         };
         match try_analyze_cuisine_with_cache(
-            ep.flavor,
+            self.flavor,
             cuisine,
             &shard.overlap,
             &NullModel::ALL,
@@ -621,7 +625,7 @@ impl<'a> Server<'a> {
         let mut rows = Vec::with_capacity(k.min(candidates.len()));
         for c in candidates.iter().take(k) {
             let name = |local: u32| {
-                ep.flavor
+                self.flavor
                     .ingredient_name(shard.pool[local as usize])
                     .unwrap_or("?")
                     .to_string()
@@ -638,8 +642,8 @@ impl<'a> Server<'a> {
     }
 
     fn compute_score(&self, ep: &Epoch<'a>, region: Region, lines: &[String]) -> String {
-        let ctx = ep.score_ctx.get_or_init(|| {
-            let db = match ep.flavor {
+        let ctx = self.score_ctx.get_or_init(|| {
+            let db = match self.flavor {
                 FlavorViewRef::Owned(db) => ScoreDb::Borrowed(db),
                 FlavorViewRef::Artifact(b) => match b.to_flavor_db() {
                     Ok(db) => ScoreDb::Owned(Box::new(db)),
@@ -657,7 +661,7 @@ impl<'a> Server<'a> {
         // Resolved ids come from the live database, so the score exists
         // by construction — but a mismatched view must degrade to an
         // error reply, not take the connection thread down.
-        let Some(score) = try_recipe_pairing_score(ep.flavor, &ids) else {
+        let Some(score) = try_recipe_pairing_score(self.flavor, &ids) else {
             return Self::err("score-unavailable", "resolved ids missing from flavor data");
         };
         let vs = self

@@ -541,6 +541,15 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     };
     let server = server_over(&world, cfg);
     let req = Request::ZProf { region };
+    // SCORE's context is the server's, but its `vs=` field reads the
+    // region's cuisine, so its reply must follow the swap too.
+    let score = Request::Score {
+        region,
+        lines: ids
+            .iter()
+            .map(|&id| world.flavor.ingredient(id).unwrap().name.clone())
+            .collect(),
+    };
 
     // Warm the cache: second identical query is a hit.
     let first = server.handle(1, &req);
@@ -548,13 +557,12 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
     assert_eq!(first[2..], hit[2..], "ids differ, bodies must not");
     assert_eq!(server.cache_stats().expect("cache on").hits, 1);
     assert_eq!(server.generation(), 0);
+    let score_before = server.handle(5, &score);
+    assert!(score_before.starts_with("5 OK score"), "{score_before}");
 
     // Ingest: swap to the grown store. Generation moves, nothing is
     // swept eagerly.
-    let generation = server.ingest_swap(
-        FlavorViewRef::Owned(&world.flavor),
-        RecipesViewRef::Owned(&grown),
-    );
+    let generation = server.ingest_swap(RecipesViewRef::Owned(&grown));
     assert_eq!(generation, 1);
     assert_eq!(server.generation(), 1);
     assert_eq!(server.cache_stats().expect("cache on").invalidations, 0);
@@ -574,6 +582,9 @@ fn ingest_swap_invalidates_cache_and_serves_new_bits() {
         Metrics::enabled(),
     );
     assert_eq!(after, fresh.handle(3, &req));
+    let score_after = server.handle(5, &score);
+    assert_ne!(score_before, score_after, "vs= must read the new cuisine");
+    assert_eq!(score_after, fresh.handle(5, &score));
 
     // And the new answer is cached under the new generation.
     let again = server.handle(4, &req);

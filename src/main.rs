@@ -168,6 +168,17 @@ impl Args {
         Ok(self.opt_flag(name)?.unwrap_or(default))
     }
 
+    /// [`Args::flag`] for a count that must be at least `min`: a
+    /// smaller value is refused here, by name, instead of failing once
+    /// the work has started.
+    fn count(&self, name: &str, default: usize, min: usize) -> Result<usize, String> {
+        let n = self.flag(name, default)?;
+        if n < min {
+            return Err(format!("--{name}: must be at least {min}, got {n}"));
+        }
+        Ok(n)
+    }
+
     /// A path-like flag: `None` when absent, an error when given
     /// without a value.
     fn path(&self, name: &str) -> Result<Option<String>, String> {
@@ -265,10 +276,11 @@ fn build_world(cfg: &WorldConfig) -> World {
 }
 
 /// The `--mc`/`--seed` Monte Carlo settings, with `n_recipes` as the
-/// command's default.
+/// command's default. A null ensemble needs two sampled recipes for a
+/// spread, so `--mc` below 2 is refused.
 fn mc_config(args: &Args, n_recipes: usize) -> Result<MonteCarloConfig, String> {
     Ok(MonteCarloConfig {
-        n_recipes: args.flag("mc", n_recipes)?,
+        n_recipes: args.count("mc", n_recipes, 2)?,
         seed: args.flag("seed", 2018u64)?,
         n_threads: 0,
     })
@@ -788,7 +800,8 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
         "suggest" => {
             let region = args.region()?;
             let cfg = world_config(args)?;
-            let size = args.flag("size", 7usize)?;
+            // N_s is a mean over ingredient pairs: no recipe below two.
+            let size = args.count("size", 7, 2)?;
             // Uniform is the default objective; asking for both is a
             // contradiction, not a tie-break.
             let contrast = args.switch("contrast")?;
@@ -898,24 +911,19 @@ struct ServeOptions {
 
 impl ServeOptions {
     fn from_args(args: &Args) -> Result<ServeOptions, String> {
+        let mc = mc_config(args, 2000)?;
         let cfg = ServeConfig {
             threads: args.flag("threads", 0usize)?,
-            batch_max: args.flag("batch", 32usize)?,
+            batch_max: args.count("batch", 32, 1)?,
             cache_entries: args.flag("cache-entries", 4096usize)?,
-            max_queue: args.flag("max-queue", 256usize)?,
-            mc_recipes: args.flag("mc", 2000usize)?,
-            seed: args.flag("seed", 2018u64)?,
+            max_queue: args.count("max-queue", 256, 1)?,
+            mc_recipes: mc.n_recipes,
+            seed: mc.seed,
             read_timeout_ms: args.flag("read-timeout", 30_000u64)?,
             write_timeout_ms: args.flag("write-timeout", 30_000u64)?,
             idle_timeout_ms: args.flag("idle-timeout", 300_000u64)?,
             max_conns: args.flag("max-conns", 64usize)?,
         };
-        if cfg.batch_max == 0 {
-            return Err("--batch: must be at least 1".to_owned());
-        }
-        if cfg.max_queue == 0 {
-            return Err("--max-queue: must be at least 1".to_owned());
-        }
         let socket = match (args.switch("stdio")?, args.flags.get("socket")) {
             (true, Some(_)) => return Err("--stdio and --socket are mutually exclusive".to_owned()),
             (true, None) => None,
@@ -1140,6 +1148,7 @@ mod tests {
         reject(&["--stdio", "--max-queue", "-4"], "--max-queue");
         reject(&["--stdio", "--max-queue", "0"], "--max-queue");
         reject(&["--stdio", "--batch", "0"], "--batch");
+        reject(&["--stdio", "--mc", "1"], "--mc: must be at least 2");
         reject(&["--stdio", "--threads", "two"], "--threads");
         reject(&["--stdio", "--seed", "7.5"], "--seed");
         reject(&["--stdio", "--metrics=xml"], "--metrics");

@@ -585,6 +585,27 @@ fn every_subcommand_refuses_bad_values_and_unknown_flags() {
             "--no-overlaps: unknown flag",
         ),
         (&["analyze", "--mc", "lots"], "--mc: cannot parse"),
+        // Counts that could never run: a null ensemble needs two
+        // sampled recipes, N_s a recipe of two ingredients.
+        (&["analyze", "--mc", "0"], "--mc: must be at least 2"),
+        (&["analyze", "--mc", "1"], "--mc: must be at least 2"),
+        (&["report", "ITA", "--mc", "1"], "--mc: must be at least 2"),
+        (
+            &["replay", "--wal", "w", "--analyze", "--mc", "1"],
+            "--mc: must be at least 2",
+        ),
+        (
+            &["serve", "--stdio", "--mc", "1"],
+            "--mc: must be at least 2",
+        ),
+        (
+            &["suggest", "ITA", "--size", "0"],
+            "--size: must be at least 2",
+        ),
+        (
+            &["suggest", "ITA", "--size", "1"],
+            "--size: must be at least 2",
+        ),
         (&["analyze", "--metrics=xml"], "--metrics"),
         (&["analyze", "--threads", "2"], "--threads: unknown flag"),
         (&["report", "ITA", "--seed", "x"], "--seed: cannot parse"),

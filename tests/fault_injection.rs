@@ -261,6 +261,34 @@ fn world_block_faults_are_deterministic_across_threads() {
 }
 
 #[test]
+fn cuisine_analysis_block_faults_are_deterministic_across_threads() {
+    // A cuisine analysis is the world driver over one region: with
+    // `mc_cfg`'s 4 blocks per ensemble, `world.block[4]` is model 1's block 0.
+    fault::silence_injected_panics();
+    let world = tiny_world();
+    let cuisine = world.recipes.cuisine(Region::Italy);
+    let models = [NullModel::Random, NullModel::Frequency];
+    let n_blocks = 4;
+    for kind in [FaultKind::Error, FaultKind::Panic] {
+        for threads in [1, 2, 4, 8] {
+            let failure = fault::with_plan(plan("world.block", n_blocks, kind), || {
+                try_analyze_cuisine(&world.flavor, &cuisine, &models, &mc_cfg(threads), &off())
+                    .unwrap_err()
+            });
+            assert_eq!(
+                failure,
+                StageFailure {
+                    stage: "world.block",
+                    index: n_blocks,
+                    cause: expected_cause("world.block", n_blocks, kind),
+                },
+                "diverged at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
 fn cuisine_analysis_propagates_nested_stage_failures() {
     let world = tiny_world();
     let cuisine = world.recipes.cuisine(Region::Italy);
