@@ -1,17 +1,18 @@
-//! Streaming-ingestion benchmark: incremental analysis state vs batch
-//! recomputes, and ingest-while-serving over `Server::ingest_swap`.
+//! Streaming-ingestion benchmark: incremental overlap-cache growth vs
+//! cold rebuilds, and ingest-while-serving over `Server::ingest_swap`.
 //!
 //! Two measured regimes, each with an in-binary parity assert:
 //!
-//! * **Incremental vs batch** — a recipe stream is fed micro-batch by
-//!   micro-batch into a [`StreamState`] (frequency tables, category
-//!   counts, per-region overlap caches grown row-by-row, Welford
-//!   running stats) while the batch path recomputes the touched
-//!   regions' state cold after every micro-batch, exactly as the
-//!   offline pipeline would. Per micro-batch size the harness asserts
-//!   the final incremental state is *bit-identical* to the cold
-//!   rebuild over the whole stream, then reports total time for both
-//!   paths, the speedup, and the incremental update-latency p50/p99.
+//! * **Incremental vs batch** — a recipe stream is cut into
+//!   micro-batches. After each one, every touched region's overlap
+//!   cache grows to the region's grown ingredient pool: the
+//!   incremental path with [`OverlapCache::extend`] (only the new
+//!   ingredients' rows are computed), the batch path with a cold
+//!   single-threaded [`OverlapCache::try_build`] over the same pool.
+//!   Per micro-batch size the harness asserts the extended cache's
+//!   pool and triangle *bit-identical* to the cold build after every
+//!   micro-batch, then reports total time for both paths, the
+//!   speedup, and the incremental update-latency p50/p99.
 //! * **Ingest while serving** — a [`Server`] answers a fixed-rate
 //!   query mix (ZPROF + PAIR over one connection) while the main
 //!   thread installs successive data generations with
@@ -49,20 +50,15 @@ use std::time::{Duration, Instant};
 
 use culinaria_bench::harness::{self, Obj, Run, Stat};
 use culinaria_bench::{check_args, env_or, generate_logged, world_config_from_env, List};
-use culinaria_core::composition::category_counts;
-use culinaria_core::{
-    recipe_pairing_score, FlavorViewRef, OverlapCache, RecipesViewRef, StreamState,
-};
+use culinaria_core::{FlavorViewRef, OverlapCache, RecipesViewRef};
 use culinaria_flavordb::{FlavorDb, IngredientId};
 use culinaria_obs::Metrics;
 use culinaria_recipedb::import::Importer;
 use culinaria_recipedb::{
-    Cuisine, FsyncPolicy, RawRecipe, Recipe, RecipeArtifactBuilder, RecipeStore, Region,
-    SegmentedLog,
+    FsyncPolicy, RawRecipe, Recipe, RecipeArtifactBuilder, RecipeStore, Region, SegmentedLog,
 };
 use culinaria_serve::protocol::{self, Client};
 use culinaria_serve::{ServeConfig, Server};
-use culinaria_stats::running::RunningStats;
 
 /// Timed repeats per path.
 const TIME_REPS: usize = 3;
@@ -83,90 +79,39 @@ fn answers(server: &Server<'_>, probes: &[String]) -> Vec<String> {
     })
 }
 
-/// The cold pairing statistics of `cuisine`: every recipe of two or
-/// more ingredients.
-fn cold_pairing_stats(db: &FlavorDb, cuisine: &Cuisine<'_>) -> RunningStats {
-    let mut stats = RunningStats::new();
-    for r in cuisine.recipes().iter().filter(|r| r.size() >= 2) {
-        stats.push(recipe_pairing_score(db, r.ingredients()));
-    }
-    stats
+/// One micro-batch of the stream: each region it touched, with that
+/// region's ingredient pool after it (sorted, like
+/// `Cuisine::ingredient_set`).
+struct Step {
+    grown: Vec<(Region, Vec<IngredientId>)>,
 }
 
-/// Assert the incrementally fed `state` is bit-identical to a cold
-/// batch rebuild over `store` — the bench's parity gate.
-fn assert_stream_parity(db: &FlavorDb, state: &StreamState, store: &RecipeStore, label: &str) {
-    assert_eq!(
-        state.global_frequencies(),
-        &store.global_frequencies(),
-        "{label}: global frequencies diverged"
-    );
-    for region in store.regions() {
-        let cuisine = store.cuisine(region);
-        let rs = state.region(region);
-        assert_eq!(
-            rs.frequencies(),
-            &cuisine.frequencies(),
-            "{label}: {region} frequencies diverged"
-        );
-        assert_eq!(
-            rs.category_counts(),
-            &category_counts(db, &cuisine),
-            "{label}: {region} category counts diverged"
-        );
-        let cold = OverlapCache::for_cuisine(db, &cuisine);
-        assert_eq!(
-            rs.overlap().pool(),
-            cold.pool(),
-            "{label}: {region} overlap pool diverged"
-        );
-        assert_eq!(
-            rs.overlap().tri(),
-            cold.tri(),
-            "{label}: {region} overlap triangle diverged"
-        );
-        assert_eq!(
-            rs.pairing_stats(),
-            &cold_pairing_stats(db, &cuisine),
-            "{label}: {region} running stats diverged"
-        );
-    }
+/// A cold single-threaded build over `pool` — the batch path.
+fn cold_build(db: &FlavorDb, pool: &[IngredientId]) -> OverlapCache {
+    OverlapCache::try_build(db, pool, 1, &Metrics::disabled()).expect("stream pool is live")
 }
 
-/// One micro-batch of the stream: its `(region, ids)` refs, the store
-/// after it (the batch path's input) and the regions it touched.
-struct Step<'a> {
-    refs: Vec<(Region, &'a [IngredientId])>,
-    store: RecipeStore,
-    touched: BTreeSet<Region>,
-}
-
-/// The incremental path: one chunked ingest per micro-batch — each
-/// touched region's overlap pool extends once per micro-batch. Pushes
-/// every update's latency (µs) to `update_us`.
-fn feed(db: &FlavorDb, steps: &[Step<'_>], update_us: &mut Vec<f64>) -> StreamState {
-    let mut state = StreamState::new();
+/// The incremental path: after each step, grow every touched region's
+/// cache to its new pool with [`OverlapCache::extend`], push the
+/// step's latency (µs) to `update_us`, then hand the step and the
+/// per-region caches to `after` (untimed).
+fn extend_steps(
+    db: &FlavorDb,
+    steps: &[Step],
+    update_us: &mut Vec<f64>,
+    mut after: impl FnMut(&Step, &[OverlapCache]),
+) {
+    let mut caches = vec![cold_build(db, &[]); Region::ALL.len()];
     for step in steps {
         let t = Instant::now();
-        state
-            .ingest_batch(db, &step.refs)
-            .expect("stream chunk ingests");
-        update_us.push(t.elapsed().as_secs_f64() * 1e6);
-    }
-    state
-}
-
-/// The batch path: cold-recompute every touched region's state after
-/// each micro-batch, as the offline pipeline would.
-fn cold_rebuilds(db: &FlavorDb, steps: &[Step<'_>]) {
-    for step in steps {
-        black_box(step.store.global_frequencies());
-        for &region in &step.touched {
-            let cuisine = step.store.cuisine(region);
-            let cold = OverlapCache::for_cuisine(db, &cuisine);
-            let cats = category_counts(db, &cuisine);
-            black_box((&cold, &cats, &cold_pairing_stats(db, &cuisine)));
+        for (region, pool) in &step.grown {
+            let cache = &mut caches[region.index()];
+            *cache = cache
+                .extend(db, pool, &Metrics::disabled())
+                .expect("a region's pool only grows");
         }
+        update_us.push(t.elapsed().as_secs_f64() * 1e6);
+        after(step, &caches);
     }
 }
 
@@ -262,41 +207,48 @@ fn main() {
     );
     let stream = &all[..n_stream.min(all.len())];
 
-    // ---- Part 1: incremental StreamState vs per-batch cold rebuilds.
+    // ---- Part 1: OverlapCache::extend vs per-batch cold builds.
     let mut inc_rows = Vec::new();
     let mut best_speedup = 0.0f64;
     for &bsize in &batch_sizes {
-        // Store growth is shared by both paths; keep it untimed.
-        let mut partial = RecipeStore::new();
-        let steps: Vec<Step<'_>> = stream
+        // Pool growth is shared by both paths; keep it untimed.
+        let mut pools = vec![BTreeSet::new(); Region::ALL.len()];
+        let steps: Vec<Step> = stream
             .chunks(bsize)
             .map(|chunk| {
                 for r in chunk {
-                    partial
-                        .add_recipe(&r.name, r.region, r.source, r.ingredients().to_vec())
-                        .expect("stream recipe stores");
+                    pools[r.region.index()].extend(r.ingredients().iter().copied());
                 }
-                Step {
-                    refs: chunk.iter().map(|r| (r.region, r.ingredients())).collect(),
-                    store: partial.clone(),
-                    touched: chunk.iter().map(|r| r.region).collect(),
-                }
+                let touched: BTreeSet<Region> = chunk.iter().map(|r| r.region).collect();
+                let grown = touched
+                    .into_iter()
+                    .map(|region| {
+                        let pool = pools[region.index()].iter().copied().collect();
+                        (region, pool)
+                    })
+                    .collect();
+                Step { grown }
             })
             .collect();
-        let state = feed(&world.flavor, &steps, &mut Vec::new());
-        assert_stream_parity(
-            &world.flavor,
-            &state,
-            &partial,
-            &format!("micro-batch {bsize}"),
-        );
+        extend_steps(&world.flavor, &steps, &mut Vec::new(), |step, caches| {
+            for (region, pool) in &step.grown {
+                let (grown, cold) = (&caches[region.index()], cold_build(&world.flavor, pool));
+                let label = format!("micro-batch {bsize}: {region}");
+                assert_eq!(grown.pool(), cold.pool(), "{label} overlap pool diverged");
+                assert_eq!(grown.tri(), cold.tri(), "{label} overlap triangle diverged");
+            }
+        });
 
         let mut update_us = Vec::new();
         let [inc, batch] = harness::time_ms(
             TIME_REPS,
             [
-                &mut || drop(feed(&world.flavor, &steps, &mut update_us)),
-                &mut || cold_rebuilds(&world.flavor, &steps),
+                &mut || extend_steps(&world.flavor, &steps, &mut update_us, |_, _| ()),
+                &mut || {
+                    for (_, pool) in steps.iter().flat_map(|step| &step.grown) {
+                        black_box(cold_build(&world.flavor, pool));
+                    }
+                },
             ],
         );
         let update = Stat::of(update_us);
@@ -327,7 +279,7 @@ fn main() {
     }
     assert!(
         best_speedup > 1.0,
-        "incremental maintenance must beat per-batch cold rebuilds \
+        "extending overlap caches must beat per-batch cold builds \
          (best speedup {best_speedup:.2}x)"
     );
 
@@ -615,7 +567,7 @@ fn main() {
         .set("mc_recipes", mc)
         .set(
             "parity",
-            "incremental state bit-identical to cold rebuilds per config; \
+            "extended overlap caches bit-identical to cold builds after every micro-batch; \
              post-swap serve answers bit-identical to a cold server; \
              segmented WAL replays bit-identical to a cold import",
         )

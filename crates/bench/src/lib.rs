@@ -39,7 +39,7 @@
 //! | `bench_fig4`     | `analyze_world` vs the pre-optimization path; thread scaling |
 //! | `bench_ntuple`   | k-way bitset kernel vs the frozen n-tuple walker; thread scaling |
 //! | `bench_artifact` | zero-copy artifact open vs owned decode; owned ≡ borrowed analysis |
-//! | `bench_stream`   | `StreamState` vs cold rebuilds; `ingest_swap`; WAL per fsync policy |
+//! | `bench_stream`   | `OverlapCache::extend` vs cold builds; `ingest_swap`; WAL per fsync policy |
 //!
 //! ## Environment knobs
 //!

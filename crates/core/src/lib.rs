@@ -32,10 +32,13 @@
 //!   applications the abstract motivates;
 //! * [`network`] — the Ahn-style flavor network (nodes = ingredients,
 //!   edge weights = shared compounds) with backbones, hubs, and
-//!   clustering statistics;
-//! * [`streaming`] — incrementally maintained frequency tables,
-//!   category compositions, overlap caches, and running pairing stats
-//!   for streaming ingestion, bit-identical to the batch recomputes.
+//!   clustering statistics.
+//!
+//! The one incremental primitive is [`OverlapCache::extend`]: it grows
+//! a region's overlap cache to a larger ingredient pool by computing
+//! only the rows of the new ingredients, bit-identical to a cold
+//! build. Frequencies, category counts and pairing means are cheap
+//! batch recomputes over the store.
 
 pub mod classify;
 pub mod composition;
@@ -53,7 +56,6 @@ pub mod pairing;
 pub mod popularity;
 pub mod robustness;
 pub mod size_dist;
-pub mod streaming;
 pub mod taste;
 pub mod view;
 pub mod z_analysis;
@@ -65,7 +67,6 @@ pub use pairing::{
     mean_cuisine_score, novel_pairings, recipe_pairing_score, try_recipe_pairing_score,
     NovelPairing, OverlapCache,
 };
-pub use streaming::{RegionStream, StreamState};
 pub use view::{CuisineView, FlavorViewRef, RecipesViewRef};
 pub use z_analysis::{
     analyze_cuisine, analyze_world, region_overlap_cache, try_analyze_cuisine_with_cache,

@@ -334,8 +334,8 @@ impl OverlapCache {
     }
 
     /// Grow the cache to a larger pool, recomputing **only the rows
-    /// touched by new ingredients** — the incremental-update half of
-    /// streaming ingestion.
+    /// touched by new ingredients** — the one incremental analysis
+    /// step: a region whose pool grows is extended, not rebuilt.
     ///
     /// `pool` is the grown cuisine's ingredient pool and must contain
     /// every id already in the cache (a shrunk pool is a caller bug and
@@ -347,10 +347,15 @@ impl OverlapCache {
     /// are popcounted in, so the result is **bit-identical to a cold
     /// [`OverlapCache::build`] over `pool`** while doing O(new·total)
     /// intersection work instead of O(total²).
+    ///
+    /// A shrunk pool, a dead id in a grown pool or a size mismatch becomes
+    /// a [`StageFailure`] at stage `overlap.extend` and bumps
+    /// `error.overlap.extend` in `metrics`.
     pub fn extend<'a>(
         &self,
         flavor: impl Into<FlavorViewRef<'a>>,
         pool: &[IngredientId],
+        metrics: &Metrics,
     ) -> Result<OverlapCache, StageFailure> {
         let flavor = flavor.into();
         let m = pool.len();
@@ -367,7 +372,8 @@ impl OverlapCache {
                      the pool may only grow",
                     self.pool.len()
                 ),
-            ));
+            )
+            .record(metrics));
         }
         // Pack every profile once when any is new (new cells pair new
         // ingredients with arbitrary rows); a grown pool that is a
@@ -378,7 +384,7 @@ impl OverlapCache {
         let (words, bits) = if kept == m {
             (0, Vec::new())
         } else {
-            pack_profiles(flavor, pool, "overlap.extend", false)?
+            pack_profiles(flavor, pool, "overlap.extend", false).map_err(|f| f.record(metrics))?
         };
 
         let mut tri = vec![0u32; m * m.saturating_sub(1) / 2];
@@ -393,8 +399,9 @@ impl OverlapCache {
                 tri[row_base(i) + (j - i - 1)] = cell;
             }
         }
-        OverlapCache::from_parts(pool, tri)
-            .ok_or_else(|| StageFailure::error("overlap.extend", 0, "triangle/pool size mismatch"))
+        OverlapCache::from_parts(pool, tri).ok_or_else(|| {
+            StageFailure::error("overlap.extend", 0, "triangle/pool size mismatch").record(metrics)
+        })
     }
 
     /// Build over a cuisine's distinct ingredient set.
@@ -940,6 +947,31 @@ mod tests {
             .expect_err("dead id fails the pack stage");
         assert_eq!(failure.index, 2);
         assert_eq!(metrics.snapshot().counter("error.overlap.pack"), Some(1));
+    }
+
+    #[test]
+    fn extend_matches_cold_build_and_rejects_shrink() {
+        let w = culinaria_datagen::generate_world(&culinaria_datagen::WorldConfig::tiny());
+        let db = &w.flavor;
+        let all = w.recipes.cuisine(w.recipes.regions()[0]).ingredient_set();
+        assert!(all.len() >= 6, "fixture too small: {}", all.len());
+        let half = &all[..all.len() / 2];
+        let cache = OverlapCache::build(db, half);
+        let metrics = Metrics::enabled();
+
+        let grown = cache.extend(db, &all, &metrics).unwrap();
+        let cold = OverlapCache::build(db, &all);
+        assert_eq!(grown.pool(), cold.pool());
+        assert_eq!(grown.tri(), cold.tri());
+
+        // Same pool: pure copy, still identical.
+        let same = grown.extend(db, &all, &metrics).unwrap();
+        assert_eq!(same.tri(), cold.tri());
+        assert_eq!(metrics.snapshot().counter("error.overlap.extend"), None);
+
+        // Shrinking is a caller bug, and a counted one.
+        assert!(grown.extend(db, half, &metrics).is_err());
+        assert_eq!(metrics.snapshot().counter("error.overlap.extend"), Some(1));
     }
 
     #[test]

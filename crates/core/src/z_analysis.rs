@@ -170,7 +170,8 @@ pub fn region_overlap_cache(
 /// [`region_overlap_cache`] builds; sampled recipes index that set);
 /// the analysis is then bit-identical to the cache-building path for
 /// the same `cfg`, and records the same instruments minus the cache
-/// build's.
+/// build's. A cache over any other pool is refused as a
+/// [`StageFailure`] at `world.prepare[0]`.
 pub fn try_analyze_cuisine_with_cache<'a>(
     flavor: impl Into<FlavorViewRef<'a>>,
     cuisine: impl Into<CuisineView<'a>>,
@@ -234,7 +235,8 @@ pub fn analyze_world_observed<'a>(
 ///
 /// Failures become a structured [`StageFailure`], identical for any
 /// thread count, and bump `error.<stage>`: a region whose recipes leave
-/// its own pool at `world.prepare[r]` (`r` counts prepared regions), a
+/// its own pool, or whose supplied cache is over another pool, at
+/// `world.prepare[r]` (`r` counts prepared regions), a
 /// Monte-Carlo block at `world.block[(r·n_models + m)·n_blocks + b]`
 /// (lowest wins), a degenerate ensemble at `world.merge[r·n_models + m]`.
 pub fn try_analyze_world<'a>(
@@ -312,18 +314,31 @@ fn prepare<'a, 'c>(
         let Some(sampler) = CuisineSampler::build(flavor, cuisine.clone()) else {
             continue;
         };
+        // Sampled recipes are local indices into the cuisine's
+        // ingredient set, so a supplied cache must be over exactly it.
+        let pool = cuisine.ingredient_set();
         let cache = match cache {
-            Some(cache) => Cow::Borrowed(cache),
-            None => {
-                let pool = cuisine.ingredient_set();
-                Cow::Owned(region_overlap_cache(
-                    flavor,
-                    region,
-                    &pool,
-                    cfg.n_threads,
-                    metrics,
-                )?)
+            Some(cache) if cache.pool() == pool => Cow::Borrowed(cache),
+            Some(cache) => {
+                return Err(StageFailure::error(
+                    "world.prepare",
+                    prepared.len(),
+                    format!(
+                        "overlap cache over {} ingredients is not cuisine {}'s pool of {}",
+                        cache.len(),
+                        region.code(),
+                        pool.len()
+                    ),
+                )
+                .record(metrics))
             }
+            None => Cow::Owned(region_overlap_cache(
+                flavor,
+                region,
+                &pool,
+                cfg.n_threads,
+                metrics,
+            )?),
         };
         let observed_mean = cache.mean_cuisine_score(cuisine).ok_or_else(|| {
             StageFailure::error(
@@ -664,6 +679,47 @@ mod tests {
             assert_eq!(ca.null.mean.to_bits(), cb.null.mean.to_bits());
             assert_eq!(ca.z.map(f64::to_bits), cb.z.map(f64::to_bits));
         }
+    }
+
+    #[test]
+    fn with_cache_refuses_a_cache_over_another_pool() {
+        let world = generate_world(&WorldConfig::tiny());
+        // The region with the narrowest pool: a cache over every
+        // ingredient is strictly wider than it.
+        let cuisine = (world.recipes.regions().into_iter())
+            .map(|r| world.recipes.cuisine(r))
+            .min_by_key(|c| c.ingredient_set().len())
+            .expect("populated world");
+        let every: Vec<IngredientId> = world.flavor.ingredient_ids().collect();
+        let wide = OverlapCache::build(&world.flavor, &every);
+        assert!(wide.len() > cuisine.ingredient_set().len());
+        let models = [NullModel::Random];
+        let cfg = quick_cfg();
+        let metrics = Metrics::enabled();
+        let failure =
+            try_analyze_cuisine_with_cache(&world.flavor, &cuisine, &wide, &models, &cfg, &metrics)
+                .expect_err("a cache over every ingredient is not the cuisine's pool");
+        assert_eq!((failure.stage, failure.index), ("world.prepare", 0));
+        assert_eq!(metrics.snapshot().counter("error.world.prepare"), Some(1));
+
+        // The cuisine's own cache is accepted and matches the
+        // cache-building path bit for bit.
+        let own = OverlapCache::for_cuisine(&world.flavor, &cuisine);
+        let with = try_analyze_cuisine_with_cache(
+            &world.flavor,
+            &cuisine,
+            &own,
+            &models,
+            &cfg,
+            &Metrics::disabled(),
+        )
+        .expect("own pool")
+        .expect("pairing-bearing cuisine");
+        let built = analyze_cuisine(&world.flavor, &cuisine, &models, &cfg).unwrap();
+        assert_eq!(
+            with.comparisons[0].z.map(f64::to_bits),
+            built.comparisons[0].z.map(f64::to_bits)
+        );
     }
 
     #[test]

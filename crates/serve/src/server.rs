@@ -35,6 +35,7 @@
 //! (`serve.cache.invalidations`). Shards are rebuilt lazily in the new
 //! epoch exactly as they were at startup.
 
+use std::borrow::Cow;
 use std::io::{self, BufWriter, Read, Write};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -139,22 +140,8 @@ pub struct RegionShard {
 /// importer needs an owned `FlavorDb`; artifact-backed servers
 /// materialize one on the first `SCORE` so every other endpoint keeps
 /// the O(1)-startup zero-copy path).
-enum ScoreDb<'a> {
-    Borrowed(&'a FlavorDb),
-    Owned(Box<FlavorDb>),
-}
-
-impl ScoreDb<'_> {
-    fn get(&self) -> &FlavorDb {
-        match self {
-            ScoreDb::Borrowed(db) => db,
-            ScoreDb::Owned(db) => db,
-        }
-    }
-}
-
 struct ScoreCtx<'a> {
-    db: ScoreDb<'a>,
+    db: Cow<'a, FlavorDb>,
     importer: Importer,
 }
 
@@ -644,19 +631,16 @@ impl<'a> Server<'a> {
     fn compute_score(&self, ep: &Epoch<'a>, region: Region, lines: &[String]) -> String {
         let ctx = self.score_ctx.get_or_init(|| {
             let db = match self.flavor {
-                FlavorViewRef::Owned(db) => ScoreDb::Borrowed(db),
-                FlavorViewRef::Artifact(b) => match b.to_flavor_db() {
-                    Ok(db) => ScoreDb::Owned(Box::new(db)),
-                    Err(_) => return None,
-                },
+                FlavorViewRef::Owned(db) => Cow::Borrowed(db),
+                FlavorViewRef::Artifact(b) => Cow::Owned(b.to_flavor_db().ok()?),
             };
-            let importer = Importer::from_flavor_db(db.get());
+            let importer = Importer::from_flavor_db(&db);
             Some(ScoreCtx { db, importer })
         });
         let Some(ctx) = ctx else {
             return Self::err("score-unavailable", "flavor database unreadable");
         };
-        let db = ctx.db.get();
+        let db = &*ctx.db;
         let (ids, resolved_lines) = resolve_score_lines(&ctx.importer, db, lines);
         // Resolved ids come from the live database, so the score exists
         // by construction — but a mismatched view must degrade to an

@@ -694,6 +694,16 @@ fn run(command: &str, args: &Args) -> Result<ExitCode, String> {
             let analyze = args.switch("analyze")?;
             let mc = mc_config(args, 2000)?;
             let sink = args.metrics()?;
+            // Only the analysis reads these: without it they would
+            // silently do nothing.
+            if !analyze {
+                if let Some(flag) = ["mc", "seed", "metrics"]
+                    .iter()
+                    .find(|f| args.flags.contains_key(**f))
+                {
+                    return Err(format!("--{flag} only applies to --analyze"));
+                }
+            }
             let Some(dir) = args.path("wal")? else {
                 return Err("needs --wal DIR (the segmented replay log)".to_owned());
             };

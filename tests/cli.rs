@@ -632,6 +632,20 @@ fn every_subcommand_refuses_bad_values_and_unknown_flags() {
             "--prefix: cannot parse",
         ),
         (&["replay", "--log", "l.cwal"], "--log: unknown flag"),
+        // The analysis flags are refused without --analyze, even with
+        // valid values: replay alone never reads them.
+        (
+            &["replay", "--wal", "w", "--mc", "500"],
+            "--mc only applies to --analyze",
+        ),
+        (
+            &["replay", "--wal", "w", "--seed", "7"],
+            "--seed only applies to --analyze",
+        ),
+        (
+            &["replay", "--wal", "w", "--metrics=json"],
+            "--metrics only applies to --analyze",
+        ),
         (&["pairings", "ITA", "--top", "many"], "--top: cannot parse"),
         (&["pairings", "ITA", "--size", "3"], "--size: unknown flag"),
         (&["suggest", "ITA", "--size", "big"], "--size: cannot parse"),
